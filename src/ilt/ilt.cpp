@@ -120,7 +120,7 @@ PixelProblem::PixelProblem(const std::vector<Polygon>& targets,
 double PixelProblem::cost(const std::vector<double>& m) const {
   OPCKIT_CHECK(m.size() == target_.size());
   const std::size_t n = m.size();
-  // Forward: transmission -> spectrum -> fused per-kernel |IFFT|^2.
+  // Forward: transmission -> spectrum -> fused Σ λ_k·|IFFT|^2.
   std::vector<double> trans(n);
   for (std::size_t i = 0; i < n; ++i) {
     trans[i] = m[i] + (1.0 - m[i]) * t_bg_;
@@ -128,12 +128,8 @@ double PixelProblem::cost(const std::vector<double>& m) const {
   std::vector<Complex> spectrum;
   fft2_.forward_real(std::span<const double>(trans), spectrum);
   litho::Image intensity(frame_, 0.0);
-  std::vector<double> mag2;
-  for (const litho::SocsKernel& k : set_->kernels) {
-    batch_.inverse_mag2(spectrum.data(), k.value, mag2);
-    double* acc = intensity.values().data();
-    for (std::size_t i = 0; i < n; ++i) acc[i] += k.weight * mag2[i];
-  }
+  batch_.accumulate_intensity(spectrum.data(), litho::intensity_terms(*set_),
+                              intensity.values());
   const litho::Image latent = litho::gaussian_blur(intensity, diffusion_);
   double c = 0.0;
   for (std::size_t i = 0; i < n; ++i) {

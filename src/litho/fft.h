@@ -34,14 +34,27 @@
 ///     frequency bins. All batch members share one plan and one
 ///     support, so the row/column pruning structure is computed once:
 ///     rows with no support bins are skipped outright (their transform
-///     is exactly zero — skipping is bit-exact, not approximate),
-///     touched rows live in a compact cache-resident buffer, the
-///     column pass gathers blocks of columns to stay cache-friendly,
-///     and the |·|² + 1/(nx·ny) normalization is fused into the column
-///     epilogue so the complex image is never materialized. The fused
-///     result is bit-identical to transform-then-normalize-then-|·|²
-///     of the pre-plan engine (same operations, same order, zero rows
-///     dropped exactly).
+///     is exactly zero — skipping is bit-exact, not approximate), and
+///     the |·|² + 1/(nx·ny) normalization and the weighted sum over
+///     members are fused into the column epilogue, so neither the
+///     complex image nor any per-member intensity frame is stored.
+///     The fused result is bit-identical to
+///     transform-then-normalize-then-|·|² of the pre-plan engine
+///     followed by an ascending weighted sum (same operations, same
+///     order, zero rows dropped exactly).
+///
+/// Every 2-D pass above runs on the lane kernel
+/// (`FftPlan::transform_lanes`): kLanes = 8 vectors transformed in
+/// lockstep over split re/im arrays with the lane index innermost, so
+/// the butterfly's inner loop is eight independent, identical scalar
+/// computations the compiler vectorizes. Column passes read contiguous
+/// row strips straight into lanes; row passes transpose eight rows in.
+/// The lane kernel performs, per element, the real-arithmetic
+/// expansion of exactly the operations `FftPlan::transform` (and the
+/// r2c/c2r pack and split) perform through std::complex, in the same
+/// order, with the same tables; lanes never interact. Each lane is
+/// therefore bit-identical to the scalar path, and so is every 2-D
+/// result built from them.
 ///
 /// Sizes are powers of two. Convention: forward is unnormalized,
 /// inverse divides by N (1D) or Nx*Ny (2D), so ifft(fft(x)) == x; the
@@ -51,6 +64,7 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -104,6 +118,32 @@ class FftPlan {
   /// and the butterflies run in the same order.
   void transform(Complex* data, FftDirection dir) const;
 
+  /// Vectors per lane batch of transform_lanes and the r2c/c2r lane
+  /// variants.
+  static constexpr std::size_t kLanes = 8;
+
+  /// Where transform_lanes finds its input elements.
+  enum class LaneOrder {
+    kNatural,      ///< element i at slot i; the permutation runs first
+    kBitReversed,  ///< element i already at slot bit_reversed(i)
+  };
+
+  /// Unnormalized in-place transform of kLanes vectors of size() at
+  /// once, over split real/imaginary arrays with the lane innermost:
+  /// element i of lane j is re[i*kLanes + j] / im[i*kLanes + j] (each
+  /// array holds size()*kLanes doubles). Every lane is bit-identical to
+  /// transform() on that vector: the butterflies are the real-arithmetic
+  /// expansion of transform()'s complex operations, in the same order,
+  /// over the same tables. With kBitReversed the caller has already
+  /// stored its input permuted (cheapest when it gathers anyway, and
+  /// free for inputs that are mostly zero), and the permutation pass is
+  /// skipped.
+  void transform_lanes(double* re, double* im, FftDirection dir,
+                       LaneOrder order = LaneOrder::kNatural) const;
+
+  /// Slot of element \p i after the bit-reversal permutation.
+  std::uint32_t bit_reversed(std::size_t i) const { return rev_[i]; }
+
   /// r2c forward: n real samples -> the n/2+1 independent bins of the
   /// Hermitian spectrum (out[k] = F[k] for k in [0, n/2]).
   /// Unnormalized, matches transform(kForward) within rounding.
@@ -116,9 +156,30 @@ class FftPlan {
   /// Requires kind() == kReal.
   void inverse_real(const Complex* in, double* out) const;
 
+  /// forward_real of up to kLanes real vectors at once. Lane l reads
+  /// its size() samples from in + l*stride for l < count; lanes at or
+  /// past count are zero. Bins [0, n/2] of lane l land in re/im[k*kLanes
+  /// + l], so each array holds (n/2+1)*kLanes doubles. The even/odd
+  /// pack, the half-size transform and the split run per lane in
+  /// forward_real's operation order: each lane is bit-identical to it.
+  /// Requires kind() == kReal.
+  void forward_real_lanes(const double* in, std::size_t stride,
+                          std::size_t count, double* re, double* im) const;
+
+  /// inverse_real of up to kLanes half-spectra at once: bins [0, n/2]
+  /// of lane l at re/im[k*kLanes + l] (the arrays are consumed as
+  /// scratch); lane l's size() samples are written to out + l*stride
+  /// for l < count. Unnormalized like inverse_real, and bit-identical
+  /// to it per lane. Requires kind() == kReal.
+  void inverse_real_lanes(double* re, double* im, double* out,
+                          std::size_t stride, std::size_t count) const;
+
  private:
   /// Complex transform of size n_/2 using the half-size tables.
   void transform_half(Complex* data, FftDirection dir) const;
+  /// Lane transform of size n_/2 using the half-size tables.
+  void transform_half_lanes(double* re, double* im, FftDirection dir,
+                            LaneOrder order) const;
 
   static std::vector<std::uint32_t> bit_reversal(std::size_t n);
   static std::vector<Complex> stage_twiddles(std::size_t n, bool inverse);
@@ -171,9 +232,9 @@ class PlanCache {
 };
 
 /// Planned 2-D transform engine bound to one (nx, ny) shape: holds the
-/// row/column plans from the PlanCache and runs cache-blocked column
-/// passes (columns are gathered in blocks into contiguous scratch
-/// instead of transformed one strided column at a time). Immutable
+/// row/column plans from the PlanCache and runs every pass on the lane
+/// kernel — column passes load kLanes adjacent columns as contiguous
+/// row strips, row passes transpose kLanes rows into lanes. Immutable
 /// after construction; methods are const and thread-safe (per-call
 /// scratch). Both dims must be powers of two.
 class Fft2d {
@@ -230,10 +291,15 @@ class Fft2d {
                     std::vector<double>& out) const;
 
  private:
-  friend class SparseInverseBatch;
-
-  /// Blocked column pass over columns [0, cols) of \p data in place.
-  void column_pass(Complex* data, std::size_t cols, FftDirection dir) const;
+  /// Lane row pass: complex transform of every row of the row-major
+  /// nx-wide \p data, in place.
+  void row_pass(Complex* data, FftDirection dir) const;
+  /// Lane column pass over columns [0, cols) of the ny-row array at
+  /// \p src (row stride src_stride), written to \p dst (row stride
+  /// dst_stride); src == dst transforms in place.
+  void column_pass(const Complex* src, std::size_t src_stride, Complex* dst,
+                   std::size_t dst_stride, std::size_t cols,
+                   FftDirection dir) const;
 
   std::size_t nx_, ny_;
   std::shared_ptr<const FftPlan> row_;  ///< kReal (serves complex + r2c)
@@ -247,22 +313,31 @@ class Fft2d {
 /// the pruning structure:
 ///
 ///  - rows with no support bins are never transformed (their row FFT
-///    is identically zero — exact, not approximate), and the touched
-///    rows live in a compact |rows|·nx scratch that stays cache
-///    resident;
-///  - the column pass gathers blocks of columns reading only the
-///    touched rows;
-///  - the inverse normalization and |·|² are fused into the column
-///    epilogue, writing the real intensity directly — the complex
-///    image is never materialized.
+///    is identically zero — exact, not approximate); the touched rows
+///    are scattered straight into their bit-reversed slots of lane row
+///    buffers, kLanes rows per lane group, so the row transforms skip
+///    the permutation pass;
+///  - the column pass loads each block of kLanes columns from those
+///    buffers into the bit-reversed slots of the touched rows only (the
+///    skipped rows are zero), again without a permutation pass;
+///  - the inverse normalization, |·|² and the weighted sum over members
+///    are fused into the column epilogue, writing the real intensity
+///    directly — the complex image is never materialized.
 ///
 /// The result is bit-identical to the unpruned inverse + normalize +
-/// |·|² sequence of the pre-plan engine. Thread-safe: each call uses
-/// its own scratch, so batch members may run on pool workers
-/// concurrently (exactly how detail::weighted_intensity_sum drives
-/// it).
+/// |·|² sequence of the pre-plan engine (and, for accumulate_intensity,
+/// to summing those images in ascending member order). Thread-safe:
+/// each call uses its own scratch. Calls from a pool worker run inline;
+/// calls from any other thread spread over util::global_pool().
 class SparseInverseBatch {
  public:
+  /// One term of a weighted intensity sum: the member's per-support-bin
+  /// factors and its weight.
+  struct Member {
+    std::span<const Complex> factors;
+    double weight = 1.0;
+  };
+
   /// \p support: ascending flat frame indices (ky*nx + kx) of the bins
   /// that may be nonzero in every batch member.
   SparseInverseBatch(const Fft2d& plan,
@@ -274,11 +349,27 @@ class SparseInverseBatch {
   /// Rows skipped per transform relative to the dense pass.
   std::size_t rows_pruned() const { return plan_.ny() - rows_.size(); }
 
+  /// acc[i] += Σ_k members[k].weight·|IFFT(field_k)(i)|² over the full
+  /// frame, where field_k[support[j]] = spectrum[support[j]] *
+  /// members[k].factors[j] and zero elsewhere; the inverse carries the
+  /// 1/(nx*ny) normalization. Per pixel the members are added in
+  /// ascending k, one `acc += w·|v|²` each — the order of
+  /// detail::weighted_intensity_sum over inverse_mag2 frames, so the
+  /// result is bit-identical to it at any thread count. The member row
+  /// passes run in parallel over members, the column epilogue in
+  /// parallel over column blocks (disjoint pixels); no per-member frame
+  /// is stored. \p spectrum points at a full nx*ny layout; every
+  /// factors span aligns with the support; \p acc has nx*ny entries.
+  void accumulate_intensity(const Complex* spectrum,
+                            std::span<const Member> members,
+                            std::span<double> acc) const;
+
   /// Compute out[i] = |IFFT(field)(i)|² over the full frame, where
   /// field[support[j]] = spectrum[support[j]] * factors[j] and zero
   /// elsewhere; the inverse carries the 1/(nx*ny) normalization.
   /// \p spectrum points at a full nx*ny layout; \p factors aligns with
-  /// the support; \p out is resized to nx*ny.
+  /// the support; \p out is resized to nx*ny. The one-member,
+  /// unit-weight accumulate_intensity into zeros (0.0 + 1.0·x == x).
   void inverse_mag2(const Complex* spectrum,
                     std::span<const Complex> factors,
                     std::vector<double>& out) const;
@@ -293,11 +384,23 @@ class SparseInverseBatch {
                      std::vector<Complex>& out) const;
 
  private:
+  /// Column epilogue: (member, first column x0, columns in the block,
+  /// transformed column lanes re, im) — lane j of element y is pixel
+  /// (x0 + j, y), not yet normalized.
+  using Epilogue = std::function<void(std::size_t, std::size_t, std::size_t,
+                                      const double*, const double*)>;
+
+  /// Row pass of every member into lane row buffers, then the column
+  /// pass block by block, handing each member's transformed block to
+  /// \p epilogue in ascending member order.
+  void run(const Complex* spectrum, std::span<const Member> members,
+           const Epilogue& epilogue) const;
+
   Fft2d plan_;
-  std::vector<std::uint32_t> support_;    ///< ascending flat indices
-  std::vector<std::uint32_t> rows_;       ///< distinct ky values, ascending
-  std::vector<std::uint32_t> compact_;    ///< scatter target per support bin
-  std::vector<std::uint32_t> row_slot_;   ///< ky -> slot in rows_ (or npos)
+  std::vector<std::uint32_t> support_;     ///< ascending flat indices
+  std::vector<std::uint32_t> rows_;        ///< distinct ky values, ascending
+  std::vector<std::size_t> row_lane_;  ///< per support bin: lane row slot
+  std::vector<std::size_t> col_slot_;  ///< per touched row: column slot
 };
 
 /// In-place 1D FFT of length data.size() (must be a power of two).

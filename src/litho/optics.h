@@ -125,6 +125,10 @@ namespace detail {
 /// number of frames is resident at once — O(chunk·n) peak instead of
 /// the O(units·n) of materialize-everything, with a summation order
 /// identical to it, so results are bit-identical at any thread count.
+/// The Abbe engine's reduction: its source points have distinct
+/// supports. SOCS kernels share one support, so SocsImager (and the
+/// ILT cost) fuse the sum into SparseInverseBatch::accumulate_intensity
+/// instead, with the same per-pixel order and no per-unit frames.
 void weighted_intensity_sum(
     std::size_t units, std::size_t n,
     const std::function<void(std::size_t, std::vector<double>&)>& compute,

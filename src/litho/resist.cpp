@@ -14,7 +14,6 @@ Image gaussian_blur(const Image& img, double sigma_nm) {
   if (sigma_nm == 0.0) return img;
   const Frame& f = img.frame();
   OPCKIT_CHECK(is_pow2(f.nx) && is_pow2(f.ny));
-  const std::size_t n = f.nx * f.ny;
 
   // Real image, real-symmetric transfer: go through the planned
   // r2c/c2r pair. Per the half-spectrum layout contract documented on

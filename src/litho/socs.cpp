@@ -227,6 +227,14 @@ SocsKernelSet build_socs_kernels(const OpticalSystem& sys, const Frame& frame,
   return set;
 }
 
+std::vector<SparseInverseBatch::Member> intensity_terms(
+    const SocsKernelSet& set) {
+  std::vector<SparseInverseBatch::Member> terms;
+  terms.reserve(set.kernels.size());
+  for (const SocsKernel& k : set.kernels) terms.push_back({k.value, k.weight});
+  return terms;
+}
+
 KernelCache& KernelCache::instance() {
   static KernelCache cache;
   return cache;
@@ -323,17 +331,12 @@ Image SocsImager::aerial_image(const Image& mask, double defocus_nm,
       KernelCache::instance().get(sys_, frame_, defocus_nm, mask_model, opts_);
 
   // All kernels share the set's support, so the whole Σ λ_k·|IFFT|²
-  // is one batch: one plan, one pruning structure, |kernels| fused
-  // sparse inverse transforms.
+  // is one batch: one plan, one pruning structure, and the weighted sum
+  // fused into the column epilogue.
   const SparseInverseBatch batch(fft2_, set->support);
   Image intensity(frame_, 0.0);
-  detail::weighted_intensity_sum(
-      set->kernels.size(), n,
-      [&](std::size_t k, std::vector<double>& out) {
-        batch.inverse_mag2(spectrum.data(), set->kernels[k].value, out);
-      },
-      [&](std::size_t k) { return set->kernels[k].weight; },
-      intensity.values());
+  batch.accumulate_intensity(spectrum.data(), intensity_terms(*set),
+                             intensity.values());
   return intensity;
 }
 

@@ -91,6 +91,12 @@ struct SocsKernelSet {
   std::size_t source_points = 0;  ///< |S| the set was compressed from
 };
 
+/// The set's kernels as the terms of
+/// SparseInverseBatch::accumulate_intensity over set.support: factors
+/// φ_k, weight λ_k, in kernel order. The spans view \p set.
+std::vector<SparseInverseBatch::Member> intensity_terms(
+    const SocsKernelSet& set);
+
 /// Build a kernel set from scratch (no cache). Exposed for tests; the
 /// imaging path goes through KernelCache. Frame dims must be powers of
 /// two. Deterministic.

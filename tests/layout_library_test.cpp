@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "layout/library.h"
 #include "util/check.h"
 
@@ -157,10 +159,13 @@ TEST(Library, StatsCountsHierarchy) {
 TEST(Library, StatsDepthOfChain) {
   Library lib("l");
   lib.cell("c0").add_rect(layers::kPoly, Rect(0, 0, 1, 1));
+  const auto name = [](int i) {
+    return std::string("c").append(std::to_string(i));
+  };
   for (int i = 1; i <= 3; ++i) {
     CellRef ref;
-    ref.child = "c" + std::to_string(i - 1);
-    lib.cell("c" + std::to_string(i)).add_ref(ref);
+    ref.child = name(i - 1);
+    lib.cell(name(i)).add_ref(ref);
   }
   EXPECT_EQ(lib.stats("c3").depth, 3);
   EXPECT_EQ(lib.stats("c0").depth, 0);

@@ -55,7 +55,9 @@ TEST(Catalog, TopKCoverageMonotone) {
   // classes_for_coverage is consistent with coverage_top_k.
   const std::size_t k90 = cat.classes_for_coverage(0.9);
   EXPECT_GE(cat.coverage_top_k(k90), 0.9);
-  if (k90 > 1) EXPECT_LT(cat.coverage_top_k(k90 - 1), 0.9);
+  if (k90 > 1) {
+    EXPECT_LT(cat.coverage_top_k(k90 - 1), 0.9);
+  }
 }
 
 TEST(Catalog, RankedIsDescendingAndDeterministic) {
@@ -67,7 +69,9 @@ TEST(Catalog, RankedIsDescendingAndDeterministic) {
   ASSERT_EQ(r1.size(), r2.size());
   for (std::size_t i = 0; i < r1.size(); ++i) {
     EXPECT_EQ(r1[i].pattern.hash, r2[i].pattern.hash);
-    if (i > 0) EXPECT_LE(r1[i].count, r1[i - 1].count);
+    if (i > 0) {
+      EXPECT_LE(r1[i].count, r1[i - 1].count);
+    }
   }
 }
 

@@ -144,7 +144,8 @@ TEST(Metrics, JsonRenderingIsStableAndLocaleFree) {
 TEST(Metrics, MarkdownListsEveryMetricName) {
   const std::string md = render_metrics_markdown();
   for (const MetricInfo& info : all_metrics()) {
-    EXPECT_NE(md.find("`" + std::string(info.name) + "`"), std::string::npos)
+    EXPECT_NE(md.find(std::string("`").append(info.name).append("`")),
+              std::string::npos)
         << info.name;
   }
 }

@@ -5,7 +5,7 @@
 # Usage:
 #   tools/ci.sh            # release + sanitize + lint (the default gate)
 #   tools/ci.sh all        # everything, including tsan and tidy
-#   tools/ci.sh release    # Release build + ctest
+#   tools/ci.sh release    # Release build (warnings are errors) + ctest
 #   tools/ci.sh sanitize   # ASan+UBSan build + ctest
 #   tools/ci.sh tsan       # TSan build + thread-pool tests only
 #   tools/ci.sh tidy       # clang-tidy over src/ and tools/ (skips if absent)
@@ -27,8 +27,9 @@ configure_build() { # <dir> [extra cmake args...]
 }
 
 job_release() {
-  log "release build + full test suite"
-  configure_build build-ci-release
+  log "release build (warnings are errors) + full test suite"
+  # The tree builds warning-free under opckit_warnings; keep it that way.
+  configure_build build-ci-release -DOPCKIT_WERROR=ON
   (cd build-ci-release && ctest "${CTEST_ARGS[@]}")
 }
 
@@ -163,7 +164,7 @@ job_tidy() {
 
 job_lint() {
   log "opclint over generated example layouts"
-  configure_build build-ci-release
+  configure_build build-ci-release -DOPCKIT_WERROR=ON
   local root; root="$(pwd)"
   local bin="${root}/build-ci-release/tools/opckit"
   local work; work="$(mktemp -d)"
