@@ -5,6 +5,14 @@
 /// scalar std::complex butterflies to the lane-batched kernels, so a
 /// pass here proves that rewrite moved no output byte.
 ///
+/// Two more cases pin the merge phase's cache replays, which the first
+/// two never reach (the flat case runs without the cache, and the
+/// escalate chip has no two cells of equal geometry): a model-engine
+/// cell flow over two cells with identical shapes, and a cached flat
+/// flow over placements far enough apart that each sees no context.
+/// Their constants were recorded before the cell and flat flows moved
+/// onto one tiled driver.
+///
 /// The constants are tied to the CI toolchain: GCC 12 with the default
 /// x86-64 flags (no -march, no FMA contraction). Another compiler or
 /// target may round differently and legitimately move them. They change
@@ -50,11 +58,11 @@ litho::SimSpec golden_sim() {
   return sim;
 }
 
-/// A 2x2 chip of one leaf mixing 1-D and 2-D content (two lines, a
-/// line-end pair and a contact), close enough that neighbours couple
-/// inside the halo.
-layout::Library flat_chip() {
-  layout::Library lib("golden_flat");
+/// An array of one leaf mixing 1-D and 2-D content (two lines, a
+/// line-end pair and a contact).
+layout::Library leaf_array(const std::string& name, int cols, int rows,
+                           const geom::Point& spacing) {
+  layout::Library lib(name);
   layout::Cell& leaf = lib.cell("leaf");
   const layout::Layer layer = layout::layers::kPoly;
   leaf.add_rect(layer, geom::Rect(0, 0, 180, 1200));
@@ -62,8 +70,13 @@ layout::Library flat_chip() {
   leaf.add_rect(layer, geom::Rect(360, 780, 540, 1200));
   leaf.add_rect(layer, geom::Rect(720, 0, 900, 1200));
   leaf.add_rect(layer, geom::Rect(1100, 500, 1320, 720));
-  layout::make_chip(lib, "top", "leaf", 2, 2, {1500, 1400});
+  layout::make_chip(lib, "top", "leaf", cols, rows, spacing);
   return lib;
+}
+
+/// A 2x2 leaf array close enough that neighbours couple inside the halo.
+layout::Library flat_chip() {
+  return leaf_array("golden_flat", 2, 2, {1500, 1400});
 }
 
 /// Two distinct hard cells, each placed twice: a tip-to-tip pair between
@@ -88,6 +101,37 @@ layout::Library escalate_chip() {
   return lib;
 }
 
+/// Two cells with the same poly shapes under different names, plus one
+/// distinct cell, each placed once: the second twin replays the first.
+layout::Library twin_cell_chip() {
+  layout::Library lib("golden_twins");
+  const layout::Layer layer = layout::layers::kPoly;
+  for (const char* name : {"twin_a", "twin_b"}) {
+    layout::Cell& twin = lib.cell(name);
+    twin.add_rect(layer, geom::Rect(0, 0, 180, 1200));
+    twin.add_rect(layer, geom::Rect(400, 0, 580, 560));
+    twin.add_rect(layer, geom::Rect(400, 820, 580, 1200));
+  }
+  layout::Cell& odd = lib.cell("odd");
+  odd.add_rect(layer, geom::Rect(0, 0, 180, 1200));
+  odd.add_rect(layer, geom::Rect(480, 0, 660, 1200));
+  layout::Cell& top = lib.cell("top");
+  const char* cells[] = {"twin_a", "odd", "twin_b"};
+  for (int i = 0; i < 3; ++i) {
+    layout::CellRef ref;
+    ref.child = cells[i];
+    ref.transform = geom::Transform(geom::Point{i * 3000, 0});
+    top.add_ref(ref);
+  }
+  return lib;
+}
+
+/// A 3x2 leaf array at a pitch that leaves every placement alone inside
+/// its halo, so all but the first replay.
+layout::Library isolated_chip() {
+  return leaf_array("golden_isolated", 3, 2, {4000, 4000});
+}
+
 FlowSpec base_spec() {
   FlowSpec spec;
   spec.sim = golden_sim();
@@ -99,6 +143,9 @@ FlowSpec base_spec() {
 // Recorded with the scalar std::complex transform kernels.
 constexpr std::uint64_t kFlatSocsHash = 0xb817c0a497cef143ull;
 constexpr std::uint64_t kEscalateCellHash = 0xb2c5d0abffca604dull;
+// Recorded with separate cell and flat flow drivers.
+constexpr std::uint64_t kTwinCellHash = 0x191a34736f757b13ull;
+constexpr std::uint64_t kIsolatedFlatHash = 0x2239690ba13e5089ull;
 
 TEST(GoldenOutput, SocsFlatFlowGdsHashAtJobs1And4) {
   FlowSpec spec = base_spec();
@@ -124,6 +171,29 @@ TEST(GoldenOutput, EscalateCellFlowGdsHash) {
   const FlowStats stats = run_cell_opc(lib, "top", spec);
   EXPECT_GT(stats.ilt_escalated, 0u);
   EXPECT_EQ(gds_hash(lib), kEscalateCellHash)
+      << "hash=0x" << std::hex << gds_hash(lib);
+}
+
+TEST(GoldenOutput, ModelCellFlowWithTwinCellsGdsHash) {
+  FlowSpec spec = base_spec();
+  spec.opc.max_iterations = 4;
+  layout::Library lib = twin_cell_chip();
+  const FlowStats stats = run_cell_opc(lib, "top", spec);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.opc_runs, 2u);
+  EXPECT_EQ(gds_hash(lib), kTwinCellHash)
+      << "hash=0x" << std::hex << gds_hash(lib);
+}
+
+TEST(GoldenOutput, CachedFlatFlowWithIsolatedPlacementsGdsHash) {
+  FlowSpec spec = base_spec();
+  spec.opc.max_iterations = 4;
+  layout::Library lib = isolated_chip();
+  const FlowStats stats = run_flat_opc(lib, "top", spec);
+  // Six placements over two passes, one fresh solve.
+  EXPECT_EQ(stats.opc_runs, 1u);
+  EXPECT_EQ(stats.cache_hits, 11u);
+  EXPECT_EQ(gds_hash(lib), kIsolatedFlatHash)
       << "hash=0x" << std::hex << gds_hash(lib);
 }
 
