@@ -32,24 +32,17 @@ using layout::Library;
 
 namespace {
 
-/// Static-analysis gate run before any correction: library structure and
-/// geometry plus the model-parameter bands. Error findings abort; the
-/// message carries the offending codes and the first few findings so the
-/// failure is actionable without re-running `opckit lint`.
-void preflight_gate(const Library& lib, const FlowSpec& spec) {
-  lint::LintOptions options;
-  options.grid_nm = spec.opc.grid_nm;
-  lint::LintReport report = lint::lint_library(lib, options);
-  report.merge(lint::lint_sim_spec(spec.sim, options));
-  report.merge(lint::lint_opc_spec(spec.opc, options));
-  if (report.clean()) return;
-
+/// The message of both error gates, pre-flight lint and MRC signoff:
+/// the error count, the offending codes and the first few findings, so
+/// the failure is actionable without re-running `opckit lint`.
+std::string error_summary(std::string_view gate,
+                          const lint::LintReport& report) {
   std::set<std::string> error_codes;
   for (const lint::Diagnostic& d : report.findings()) {
     if (d.severity == lint::Severity::kError) error_codes.insert(d.code);
   }
   std::ostringstream os;
-  os << "pre-flight lint found " << report.errors() << " error(s) [";
+  os << gate << " found " << report.errors() << " error(s) [";
   bool first = true;
   for (const std::string& code : error_codes) {
     os << (first ? "" : " ") << code;
@@ -62,7 +55,7 @@ void preflight_gate(const Library& lib, const FlowSpec& spec) {
     os << (shown == 0 ? " " : "; ") << d.to_line();
     if (++shown == 3) break;
   }
-  throw util::InputError(os.str());
+  return os.str();
 }
 
 /// Runs the parallel phases under FlowSpec::jobs: 1 = inline in the
@@ -96,9 +89,27 @@ class TileExecutor {
   std::unique_ptr<util::ThreadPool> owned_;
 };
 
-/// Per-tile phase state: the simulation input assembled by the gather
-/// phase, the cache decision from the resolve phase, and the solver
-/// output from the solve phase.
+/// One work unit of the tiled driver, in the frame its mask is written
+/// in: a distinct cell (cell flow) or a placement (flat flow).
+struct WorkUnit {
+  std::vector<Polygon> drawn;      ///< input-layer shapes
+  Rect window = Rect::empty();     ///< bbox of `drawn`
+  geom::Region own_region;         ///< area of `drawn`: what the unit owns
+  std::vector<Polygon> corrected;  ///< latest corrected mask, own only
+};
+
+WorkUnit make_unit(std::vector<Polygon> drawn) {
+  WorkUnit u;
+  for (const auto& p : drawn) u.window = u.window.united(p.bbox());
+  u.own_region = geom::Region::from_polygons(drawn);
+  u.corrected = drawn;  // pass-0 context = drawn geometry
+  u.drawn = std::move(drawn);
+  return u;
+}
+
+/// Per-tile phase state of one pass: the simulation input assembled by
+/// the gather phase, the cache decision from the resolve phase, and the
+/// solver output from the solve phase.
 struct TileWork {
   std::vector<Polygon> targets;     ///< own shapes + halo context
   CorrectionCache::Key key;         ///< valid when the cache is on
@@ -278,26 +289,6 @@ class LibrarySession {
   std::size_t import_hi_ = 0;
 };
 
-/// Serial resolve phase: placement-ordered lookups make the choice of
-/// representative per pattern class a pure function of the layout, and
-/// the library's near-match retrievals inherit the same determinism.
-void resolve_tiles(CorrectionCache& cache, const LibrarySession& library,
-                   std::vector<TileWork>& tiles, FlowStats& stats) {
-  for (TileWork& t : tiles) {
-    t.res = cache.resolve(t.key);
-    t.replay = t.res.outcome == CacheOutcome::kHit ||
-               t.res.outcome == CacheOutcome::kSymmetryHit;
-    library.on_resolved(t, stats);
-  }
-}
-
-void finalize_cache_stats(const CorrectionCache& cache, FlowStats& stats) {
-  const CorrectionCacheStats& cs = cache.stats();
-  stats.cache_hits = cs.hits + cs.symmetry_hits;
-  stats.cache_misses = cs.misses;
-  stats.cache_conflicts = cs.conflicts;
-}
-
 double elapsed_ms(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -324,76 +315,6 @@ class PhaseScope {
   const char* gauge_name_;
   std::chrono::steady_clock::time_point t0_;
 };
-
-/// Fold one freshly solved tile's result into the flow accounting
-/// (identical in both flows and in every flat pass).
-void account_fresh_solve(const ModelOpcResult& result, FlowStats& stats) {
-  ++stats.opc_runs;
-  stats.simulations += result.history.size();
-  stats.tile_simulations.push_back(result.history.size());
-  stats.all_converged = stats.all_converged && result.converged;
-  if (!result.history.empty()) {
-    const OpcIteration& last = result.final_iteration();
-    stats.max_abs_epe_nm = std::max(stats.max_abs_epe_nm, last.max_abs_epe_nm);
-    stats.worst_rms_epe_nm =
-        std::max(stats.worst_rms_epe_nm, last.rms_epe_nm);
-  }
-}
-
-/// Fold one freshly ILT-solved tile into the accounting. The tile's
-/// simulation budget is the model iterations that preceded an
-/// escalation (0 under kIlt) plus the accepted ILT descent steps; the
-/// EPE contribution is the measured error of the legalized mask.
-void account_ilt_solve(const TileWork& t, FlowStats& stats) {
-  ++stats.opc_runs;
-  const std::size_t sims =
-      (t.escalated ? t.result.history.size() : 0) +
-      static_cast<std::size_t>(t.ilt_result.iterations);
-  stats.simulations += sims;
-  stats.tile_simulations.push_back(sims);
-  stats.all_converged = stats.all_converged && t.ilt_result.converged;
-  stats.max_abs_epe_nm = std::max(stats.max_abs_epe_nm, t.ilt_max_epe);
-  stats.worst_rms_epe_nm = std::max(stats.worst_rms_epe_nm, t.ilt_rms_epe);
-  ++stats.ilt_tiles;
-  stats.ilt_iterations += static_cast<std::size_t>(t.ilt_result.iterations);
-  if (t.escalated) {
-    ++stats.ilt_escalated;
-    trace::metrics().counter(trace::metric::kIltEscalations).add(1);
-  }
-}
-
-/// An escalated tile that kept the model answer (solve_tile_engine's
-/// never-regress rule) still spent the ILT descent: fold those
-/// simulations into the tile's budget and count the escalation attempt
-/// — ilt_escalated counts attempts, ilt_tiles counts ILT outputs.
-void account_reverted_escalation(const TileWork& t, FlowStats& stats) {
-  const auto sims = static_cast<std::size_t>(t.ilt_result.iterations);
-  stats.simulations += sims;
-  if (!stats.tile_simulations.empty()) stats.tile_simulations.back() += sims;
-  ++stats.ilt_escalated;
-  trace::metrics().counter(trace::metric::kIltEscalations).add(1);
-}
-
-/// End of a flow run: publish the flow-level counters and the per-tile
-/// simulation histogram into the process-wide registry, then embed this
-/// run's registry delta (which also picked up the litho/cache/store
-/// counters incremented along the way) in the stats.
-void publish_flow_metrics(const trace::MetricsSnapshot& before,
-                          FlowStats& stats) {
-  trace::MetricsRegistry& reg = trace::metrics();
-  reg.counter(trace::metric::kFlowTilesMerged)
-      .add(stats.tile_simulations.size());
-  reg.counter(trace::metric::kFlowOpcRuns).add(stats.opc_runs);
-  reg.counter(trace::metric::kFlowSimulations).add(stats.simulations);
-  reg.counter(trace::metric::kFlowCorrectedPolygons)
-      .add(stats.corrected_polygons);
-  trace::HistogramMetric& hist =
-      reg.histogram(trace::metric::kFlowTileSimulations);
-  for (std::size_t n : stats.tile_simulations) {
-    hist.observe(static_cast<double>(n));
-  }
-  stats.metrics = trace::MetricsSnapshot::delta(before, reg.snapshot());
-}
 
 /// The store side of a flow run: preload on resume, stream fresh solves
 /// from the serial merge phase, and host the fail_after_tiles fault
@@ -553,24 +474,55 @@ void finish_mrc_report(std::vector<mrc::Violation> merged, bool dedup,
       .add(stats.mrc.violations.size());
 }
 
+/// Cell-flow signoff: cells are corrected in isolation, so they are
+/// signed off the same way — one gate tile per cell, full deck (a cell
+/// is its own connectivity universe here, so the area check tiles too).
+void signoff_cells(const FlowSpec& spec, const std::vector<WorkUnit>& units,
+                   TileExecutor& exec, FlowStats& stats) {
+  std::vector<mrc::MrcReport> reports(units.size());
+  exec.run(units.size(), [&](std::size_t i) {
+    trace::Span span("flow.mrc.tile", static_cast<std::int64_t>(i));
+    reports[i] = mrc::check_polygons(units[i].corrected, spec.mrc_deck);
+  });
+  std::vector<mrc::Violation> merged;
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    account_mrc_tile(reports[i].violations.size(), stats);
+    for (mrc::Violation& v : reports[i].violations) {
+      merged.push_back(std::move(v));
+    }
+  }
+  // Concatenated in sorted cell order, NOT deduplicated: two cells
+  // with identical local geometry are distinct masks.
+  finish_mrc_report(std::move(merged), /*dedup=*/false, stats);
+}
+
 /// Flat-flow signoff: sweep the written output per placement tile, in
-/// parallel, against the frozen corrected pool. Each tile checks the
-/// un-clipped polygons within `2 * rule_max` of its window and keeps
+/// parallel, against the frozen corrected pool. A tile's window is its
+/// corrected extent, not its drawn window: corrected edges can move
+/// outward and the kept zones must cover every marker. Each tile checks
+/// the un-clipped polygons within `2 * rule_max` of its window and keeps
 /// the violations whose marker touches the window inflated by
 /// `rule_max` — every polygon a kept marker depends on is inside the
 /// query zone, so a kept violation is exact, and every violation on the
 /// mask falls inside at least one tile's kept zone. Straddling markers
 /// surface from several tiles and collapse in sort_and_dedup. The area
 /// deck runs once over the whole pool (global connectivity).
-void run_flat_mrc_gate(const FlowSpec& spec, TileExecutor& exec,
-                       const std::vector<Polygon>& pool,
-                       const std::vector<Rect>& windows, FlowStats& stats) {
-  if (spec.mrc_deck.empty()) return;
-  PhaseScope phase("flow.mrc", trace::metric::kFlowPhaseMrcMs);
+void signoff_flat(const FlowSpec& spec, const std::vector<WorkUnit>& units,
+                  TileExecutor& exec, FlowStats& stats) {
   const MrcDeckSplit deck = split_mrc_deck(spec.mrc_deck);
-
+  std::vector<Polygon> pool;
+  std::vector<Rect> windows;
+  windows.reserve(units.size());
   Rect chip_box = geom::Rect::empty();
-  for (const auto& p : pool) chip_box = chip_box.united(p.bbox());
+  for (const WorkUnit& u : units) {
+    Rect w = geom::Rect::empty();
+    for (const auto& p : u.corrected) {
+      w = w.united(p.bbox());
+      pool.push_back(p);
+    }
+    windows.push_back(w);
+    chip_box = chip_box.united(w);
+  }
   if (chip_box.is_empty()) {
     finish_mrc_report({}, /*dedup=*/true, stats);
     return;
@@ -610,32 +562,260 @@ void run_flat_mrc_gate(const FlowSpec& spec, TileExecutor& exec,
   finish_mrc_report(std::move(merged), /*dedup=*/true, stats);
 }
 
-/// Evaluate FlowSpec::mrc_action once the stats are sealed. kFail
-/// throws on error-severity findings only (MRC005 jogs warn); the
-/// message mirrors the pre-flight gate's shape.
-void apply_mrc_action(const FlowSpec& spec, FlowStats& stats) {
-  if (!stats.mrc_checked || spec.mrc_action != mrc::Action::kFail) return;
-  const lint::LintReport lint = mrc::to_lint_report(stats.mrc);
-  if (lint.clean()) return;
-  std::set<std::string> error_codes;
-  for (const lint::Diagnostic& d : lint.findings()) {
-    if (d.severity == lint::Severity::kError) error_codes.insert(d.code);
+/// What sets the cell and flat flows apart; run_tiled does the rest.
+struct TiledFlow {
+  const char* span;       ///< the flow's trace span
+  std::string_view kind;  ///< flow kind of flow_fingerprint()
+  /// Each unit's gather sees the other units' latest corrected masks
+  /// within the halo (flat flow) or nothing but its own shapes (cell
+  /// flow).
+  bool shared_context;
+  int passes;
+  litho::SimSpec sim;  ///< imaging spec of the solve phase
+  /// The work units, in the order every serial phase follows.
+  std::function<std::vector<WorkUnit>()> enumerate;
+  /// Writes the final masks to the output layer.
+  std::function<void(const std::vector<WorkUnit>&)> write;
+  /// MRC signoff of the written masks; runs only with a deck.
+  void (*signoff)(const FlowSpec&, const std::vector<WorkUnit>&,
+                  TileExecutor&, FlowStats&);
+};
+
+/// The tiled full-chip driver of both flows (see the execution model in
+/// flow.h): the run envelope around `passes` rounds of phases A-D over
+/// the flow's work units, then the write and the signoff gate.
+FlowStats run_tiled(Library& lib, const FlowSpec& spec,
+                    const TiledFlow& flow) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const trace::MetricsSnapshot before = trace::metrics().snapshot();
+  trace::Span flow_span(flow.span);
+  // Static-analysis gate before any correction: library structure and
+  // geometry plus the model-parameter bands. Sub-wavelength masks built
+  // from invalid inputs fail silently, so error findings abort here.
+  if (spec.preflight) {
+    lint::LintOptions options;
+    options.grid_nm = spec.opc.grid_nm;
+    lint::LintReport report = lint::lint_library(lib, options);
+    report.merge(lint::lint_sim_spec(spec.sim, options));
+    report.merge(lint::lint_opc_spec(spec.opc, options));
+    if (!report.clean()) {
+      throw util::InputError(error_summary("pre-flight lint", report));
+    }
   }
-  std::ostringstream os;
-  os << "MRC signoff gate found " << lint.errors() << " error(s) [";
-  bool first = true;
-  for (const std::string& code : error_codes) {
-    os << (first ? "" : " ") << code;
-    first = false;
+  lib.validate();
+  FlowStats stats;
+  std::vector<WorkUnit> units = flow.enumerate();
+
+  CorrectionCache cache({spec.cache_symmetry});
+  StoreSession store(spec, flow.kind, cache, stats);
+  // After StoreSession: store/preload entries precede library imports in
+  // every resolve bucket, so store_hits keep their pre-library meaning.
+  LibrarySession library(spec, flow.kind, cache, stats);
+  TileExecutor exec(spec.jobs);
+  JobHooks hooks(spec);
+
+  Rect extent = geom::Rect::empty();  // the chip: union of unit windows
+  for (const WorkUnit& u : units) extent = extent.united(u.window);
+
+  for (int pass = 0; pass < flow.passes; ++pass) {
+    // Shared context pool for this pass: every unit's latest mask state.
+    // Frozen before the phases start, so gathers are read-only.
+    std::vector<Polygon> pool;
+    std::optional<geom::TileIndex> pool_index;
+    if (flow.shared_context && !units.empty()) {
+      for (const WorkUnit& u : units) {
+        pool.insert(pool.end(), u.corrected.begin(), u.corrected.end());
+      }
+      pool_index.emplace(extent.inflated(spec.halo_nm + 256), 2048);
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        pool_index->insert(i, pool[i].bbox());
+      }
+    }
+
+    std::vector<TileWork> tiles(units.size());
+
+    // Phase A — gather (parallel): own DRAWN shapes (design intent never
+    // goes stale) plus any shared context within the halo.
+    {
+      hooks.phase("gather", pass, units.size());
+      PhaseScope phase("flow.gather", trace::metric::kFlowPhaseGatherMs);
+      exec.run(units.size(), [&](std::size_t i) {
+        trace::Span span("flow.gather.tile", static_cast<std::int64_t>(i));
+        const WorkUnit& u = units[i];
+        TileWork& t = tiles[i];
+        t.targets = u.drawn;
+        if (pool_index) {
+          for (std::size_t id :
+               pool_index->query(u.window.inflated(spec.halo_nm))) {
+            const Polygon& cand = pool[id];
+            // Skip our own shapes: anything overlapping our drawn area
+            // is ours (moves are far smaller than placement spacing).
+            if (!u.own_region.intersected(geom::Region(cand.normalized()))
+                     .empty()) {
+              continue;
+            }
+            t.targets.push_back(cand);
+          }
+        }
+        if (spec.cache) {
+          t.key = CorrectionCache::make_key(t.targets, u.own_region,
+                                            u.window);
+        }
+      });
+    }
+
+    // Phase B — resolve (serial, unit order): the choice of
+    // representative per pattern class is a pure function of the
+    // layout, and the library's near-match retrievals inherit the same
+    // determinism.
+    {
+      hooks.phase("resolve", pass, units.size());
+      PhaseScope phase("flow.resolve", trace::metric::kFlowPhaseResolveMs);
+      if (spec.cache) {
+        for (TileWork& t : tiles) {
+          t.res = cache.resolve(t.key);
+          t.replay = t.res.outcome == CacheOutcome::kHit ||
+                     t.res.outcome == CacheOutcome::kSymmetryHit;
+          library.on_resolved(t, stats);
+        }
+      }
+    }
+
+    // Phase C — solve (parallel; a pure function of the per-tile inputs,
+    // warm seeds included — they were fixed serially).
+    {
+      hooks.phase("solve", pass, units.size());
+      PhaseScope phase("flow.solve", trace::metric::kFlowPhaseSolveMs);
+      exec.run(units.size(), [&](std::size_t i) {
+        TileWork& t = tiles[i];
+        if (t.replay) return;
+        trace::Span span("flow.solve.tile", static_cast<std::int64_t>(i));
+        WarmStart warm;
+        if (t.warm) warm.seeds = t.seeds;
+        solve_tile_engine(spec, flow.sim, units[i].window,
+                          t.warm ? &warm : nullptr, t);
+      });
+    }
+
+    // Phase D — merge (serial, unit order): account, keep the unit's own
+    // shapes, store/replay. A replay's representative always precedes it
+    // in this order (resolve handed out entries in the same order), so
+    // every store lands before the fetch that needs it.
+    {
+      hooks.phase("merge", pass, units.size());
+      PhaseScope phase("flow.merge", trace::metric::kFlowPhaseMergeMs);
+      for (std::size_t i = 0; i < units.size(); ++i) {
+        hooks.check_cancel();
+        WorkUnit& u = units[i];
+        TileWork& t = tiles[i];
+        if (t.replay) {
+          u.corrected = cache.fetch(t.res.entry, t.key);
+          stats.tile_simulations.push_back(0);
+        } else {
+          // The tile's simulation budget: model iterations (0 under kIlt)
+          // plus the ILT descent steps (0 unless ILT ran). An escalated
+          // tile that kept the model answer still spent its descent.
+          const auto ilt_iterations =
+              static_cast<std::size_t>(t.ilt_result.iterations);
+          const std::size_t sims = t.result.history.size() + ilt_iterations;
+          ++stats.opc_runs;
+          stats.simulations += sims;
+          stats.tile_simulations.push_back(sims);
+          u.corrected.clear();
+          if (t.ilt) {
+            stats.all_converged =
+                stats.all_converged && t.ilt_result.converged;
+            stats.max_abs_epe_nm =
+                std::max(stats.max_abs_epe_nm, t.ilt_max_epe);
+            stats.worst_rms_epe_nm =
+                std::max(stats.worst_rms_epe_nm, t.ilt_rms_epe);
+            ++stats.ilt_tiles;
+            stats.ilt_iterations += ilt_iterations;
+            // ILT can synthesize free-floating assists that overlap no
+            // drawn shape, so "ours" is everything inside the window
+            // (the legalizer clips to it); the locked context
+            // passthrough sits outside and drops here.
+            for (const auto& p : t.ilt_result.corrected) {
+              if (u.window.contains(p.bbox())) u.corrected.push_back(p);
+            }
+          } else {
+            stats.all_converged = stats.all_converged && t.result.converged;
+            if (!t.result.history.empty()) {
+              const OpcIteration& last = t.result.final_iteration();
+              stats.max_abs_epe_nm =
+                  std::max(stats.max_abs_epe_nm, last.max_abs_epe_nm);
+              stats.worst_rms_epe_nm =
+                  std::max(stats.worst_rms_epe_nm, last.rms_epe_nm);
+            }
+            for (const auto& p : t.result.corrected) {
+              if (!u.own_region.intersected(geom::Region(p)).empty()) {
+                u.corrected.push_back(p);
+              }
+            }
+          }
+          // ilt_escalated counts attempts, ilt_tiles counts ILT outputs.
+          if (t.escalated) {
+            ++stats.ilt_escalated;
+            trace::metrics().counter(trace::metric::kIltEscalations).add(1);
+          }
+          if (spec.cache) {
+            cache.store(t.res.entry, t.key, u.corrected);
+            // ILT output carries no fragment offsets, so there is nothing
+            // to seed warm starts from — the library append is model-only.
+            if (!t.ilt) library.on_fresh_solve(cache, t, stats);
+          }
+        }
+        store.on_tile_merged(cache, t.replay, t.res.entry, stats);
+        hooks.tile_merged(pass, i + 1, units.size());
+      }
+    }
   }
-  os << "]:";
-  std::size_t shown = 0;
-  for (const lint::Diagnostic& d : lint.findings()) {
-    if (d.severity != lint::Severity::kError) continue;
-    os << (shown == 0 ? " " : "; ") << d.to_line();
-    if (++shown == 3) break;
+
+  for (const WorkUnit& u : units) {
+    stats.corrected_polygons += u.corrected.size();
   }
-  throw MrcGateError(os.str(), std::move(stats));
+  flow.write(units);
+
+  // Phase E — MRC signoff (parallel, read-only on the written output).
+  if (!spec.mrc_deck.empty()) {
+    hooks.phase("mrc", flow.passes - 1, units.size());
+    PhaseScope phase("flow.mrc", trace::metric::kFlowPhaseMrcMs);
+    flow.signoff(spec, units, exec, stats);
+  }
+
+  const CorrectionCacheStats& cs = cache.stats();
+  stats.cache_hits = cs.hits + cs.symmetry_hits;
+  stats.cache_misses = cs.misses;
+  stats.cache_conflicts = cs.conflicts;
+
+  // Publish the flow-level counters and the per-tile simulation
+  // histogram, then embed this run's registry delta (which also picked
+  // up the litho/cache/store counters incremented along the way).
+  trace::MetricsRegistry& reg = trace::metrics();
+  reg.counter(trace::metric::kFlowTilesMerged)
+      .add(stats.tile_simulations.size());
+  reg.counter(trace::metric::kFlowOpcRuns).add(stats.opc_runs);
+  reg.counter(trace::metric::kFlowSimulations).add(stats.simulations);
+  reg.counter(trace::metric::kFlowCorrectedPolygons)
+      .add(stats.corrected_polygons);
+  trace::HistogramMetric& hist =
+      reg.histogram(trace::metric::kFlowTileSimulations);
+  for (std::size_t n : stats.tile_simulations) {
+    hist.observe(static_cast<double>(n));
+  }
+  stats.metrics = trace::MetricsSnapshot::delta(before, reg.snapshot());
+  stats.wall_ms = elapsed_ms(t0);
+
+  // kFail rejects error-severity findings only (MRC005 jogs warn), after
+  // the output is written and the stats are sealed.
+  if (stats.mrc_checked && spec.mrc_action == mrc::Action::kFail) {
+    const lint::LintReport lint = mrc::to_lint_report(stats.mrc);
+    if (!lint.clean()) {
+      throw MrcGateError(error_summary("MRC signoff gate", lint),
+                         std::move(stats));
+    }
+  }
+  return stats;
 }
 
 }  // namespace
@@ -789,372 +969,95 @@ std::string render_stats_json(const FlowStats& stats) {
 
 FlowStats run_cell_opc(Library& lib, const std::string& top,
                        const FlowSpec& spec) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const trace::MetricsSnapshot before = trace::metrics().snapshot();
-  trace::Span flow_span("flow.cell");
-  if (spec.preflight) preflight_gate(lib, spec);
-  lib.validate();
-  FlowStats stats;
-
-  // Distinct reachable cells; the sorted std::set order is the placement
-  // order every serial phase below follows.
-  std::set<std::string> reachable;
-  std::vector<std::string> queue{top};
-  while (!queue.empty()) {
-    const std::string name = queue.back();
-    queue.pop_back();
-    if (!reachable.insert(name).second) continue;
-    for (const auto& ref : lib.at(name).refs()) queue.push_back(ref.child);
-  }
-  std::vector<std::string> work;
-  for (const std::string& name : reachable) {
-    if (!lib.at(name).shapes(spec.input_layer).empty()) {
-      work.push_back(name);
+  std::vector<std::string> cells;  // the cell of each work unit
+  const auto enumerate = [&] {
+    // Distinct reachable cells with input-layer shapes, in sorted name
+    // order.
+    std::set<std::string> reachable;
+    std::vector<std::string> queue{top};
+    while (!queue.empty()) {
+      const std::string name = queue.back();
+      queue.pop_back();
+      if (!reachable.insert(name).second) continue;
+      for (const auto& ref : lib.at(name).refs()) queue.push_back(ref.child);
     }
-  }
-
-  CorrectionCache cache({spec.cache_symmetry});
-  StoreSession store(spec, "cell", cache, stats);
-  // After StoreSession: store/preload entries precede library imports in
-  // every resolve bucket, so store_hits keep their pre-library meaning.
-  LibrarySession library(spec, "cell", cache, stats);
-  TileExecutor exec(spec.jobs);
-  JobHooks hooks(spec);
-  std::vector<TileWork> tiles(work.size());
-
-  // Phase A — gather (parallel, read-only on the library).
-  {
-    hooks.phase("gather", 0, work.size());
-    PhaseScope phase("flow.gather", trace::metric::kFlowPhaseGatherMs);
-    exec.run(work.size(), [&](std::size_t i) {
-      trace::Span span("flow.gather.tile", static_cast<std::int64_t>(i));
-      const Cell& cell = lib.at(work[i]);
-      const auto shapes = cell.shapes(spec.input_layer);
-      tiles[i].targets.assign(shapes.begin(), shapes.end());
-      if (spec.cache) {
-        tiles[i].key = CorrectionCache::make_key(
-            tiles[i].targets, geom::Region::from_polygons(tiles[i].targets),
-            cell.local_bbox());
-      }
-    });
-  }
-
-  // Phase B — resolve (serial, in order).
-  {
-    hooks.phase("resolve", 0, work.size());
-    PhaseScope phase("flow.resolve", trace::metric::kFlowPhaseResolveMs);
-    if (spec.cache) resolve_tiles(cache, library, tiles, stats);
-  }
-
-  // Phase C — solve (parallel; run_model_opc is a pure function of the
-  // per-tile inputs, warm seeds included — they were fixed serially).
-  {
-    hooks.phase("solve", 0, work.size());
-    PhaseScope phase("flow.solve", trace::metric::kFlowPhaseSolveMs);
-    exec.run(work.size(), [&](std::size_t i) {
-      TileWork& t = tiles[i];
-      if (t.replay) return;
-      trace::Span span("flow.solve.tile", static_cast<std::int64_t>(i));
-      WarmStart warm;
-      if (t.warm) warm.seeds = t.seeds;
-      solve_tile_engine(spec, spec.sim, lib.at(work[i]).local_bbox(),
-                        t.warm ? &warm : nullptr, t);
-    });
-  }
-
-  // Phase D — merge (serial, in order): account, store/replay, write.
-  {
-    hooks.phase("merge", 0, work.size());
-    PhaseScope phase("flow.merge", trace::metric::kFlowPhaseMergeMs);
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      hooks.check_cancel();
-      TileWork& t = tiles[i];
-      std::vector<Polygon> corrected;
-      if (t.replay) {
-        corrected = cache.fetch(t.res.entry, t.key);
-        stats.tile_simulations.push_back(0);
-      } else {
-        if (t.ilt) {
-          corrected = std::move(t.ilt_result.corrected);
-          account_ilt_solve(t, stats);
-        } else {
-          corrected = std::move(t.result.corrected);
-          account_fresh_solve(t.result, stats);
-          if (t.escalated) account_reverted_escalation(t, stats);
-        }
-        if (spec.cache) {
-          cache.store(t.res.entry, t.key, corrected);
-          // ILT output carries no fragment offsets, so there is nothing
-          // to seed warm starts from — the library append is model-only.
-          if (!t.ilt) library.on_fresh_solve(cache, t, stats);
-        }
-      }
-      Cell& cell = lib.cell(work[i]);
+    std::vector<WorkUnit> units;
+    for (const std::string& name : reachable) {
+      const auto shapes = lib.at(name).shapes(spec.input_layer);
+      if (shapes.empty()) continue;
+      cells.push_back(name);
+      units.push_back(
+          make_unit(std::vector<Polygon>(shapes.begin(), shapes.end())));
+    }
+    return units;
+  };
+  const auto write = [&](const std::vector<WorkUnit>& units) {
+    for (std::size_t i = 0; i < units.size(); ++i) {
+      Cell& cell = lib.cell(cells[i]);
       cell.clear_layer(spec.output_layer);
-      for (const auto& p : corrected) {
-        cell.add_polygon(spec.output_layer, p);
-        ++stats.corrected_polygons;
-      }
-      store.on_tile_merged(cache, t.replay, t.res.entry, stats);
-      hooks.tile_merged(0, i + 1, work.size());
+      cell.add_polygons(spec.output_layer, units[i].corrected);
     }
-  }
-
-  // Phase E — MRC signoff (parallel, read-only on the written output).
-  // Cells are corrected in isolation, so they are signed off the same
-  // way: one gate tile per cell, full deck (a cell is its own
-  // connectivity universe here, so the area check tiles too).
-  if (!spec.mrc_deck.empty()) {
-    hooks.phase("mrc", 0, work.size());
-    PhaseScope phase("flow.mrc", trace::metric::kFlowPhaseMrcMs);
-    std::vector<mrc::MrcReport> reports(work.size());
-    exec.run(work.size(), [&](std::size_t i) {
-      trace::Span span("flow.mrc.tile", static_cast<std::int64_t>(i));
-      const auto shapes = lib.at(work[i]).shapes(spec.output_layer);
-      const std::vector<Polygon> mask(shapes.begin(), shapes.end());
-      reports[i] = mrc::check_polygons(mask, spec.mrc_deck);
-    });
-    std::vector<mrc::Violation> merged;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      account_mrc_tile(reports[i].violations.size(), stats);
-      for (mrc::Violation& v : reports[i].violations) {
-        merged.push_back(std::move(v));
-      }
-    }
-    // Concatenated in sorted cell order, NOT deduplicated: two cells
-    // with identical local geometry are distinct masks.
-    finish_mrc_report(std::move(merged), /*dedup=*/false, stats);
-  }
-
-  finalize_cache_stats(cache, stats);
-  publish_flow_metrics(before, stats);
-  stats.wall_ms = elapsed_ms(t0);
-  apply_mrc_action(spec, stats);
-  return stats;
+  };
+  return run_tiled(lib, spec,
+                   {.span = "flow.cell",
+                    .kind = "cell",
+                    .shared_context = false,
+                    .passes = 1,
+                    .sim = spec.sim,
+                    .enumerate = enumerate,
+                    .write = write,
+                    .signoff = signoff_cells});
 }
 
 FlowStats run_flat_opc(Library& lib, const std::string& top,
                        const FlowSpec& spec) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const trace::MetricsSnapshot before = trace::metrics().snapshot();
-  trace::Span flow_span("flow.flat");
-  if (spec.preflight) preflight_gate(lib, spec);
-  lib.validate();
-  FlowStats stats;
-
+  const auto enumerate = [&] {
+    // Placements (cell instances with input-layer shapes), depth first
+    // in stack order.
+    std::vector<WorkUnit> units;
+    std::vector<std::pair<std::string, Transform>> stack{{top, Transform{}}};
+    while (!stack.empty()) {
+      auto [name, t] = stack.back();
+      stack.pop_back();
+      const Cell& cell = lib.at(name);
+      const auto shapes = cell.shapes(spec.input_layer);
+      if (!shapes.empty()) {
+        std::vector<Polygon> drawn;
+        drawn.reserve(shapes.size());
+        for (const auto& s : shapes) drawn.push_back(t(s));
+        units.push_back(make_unit(std::move(drawn)));
+      }
+      for (const auto& ref : cell.refs()) {
+        for (int r = 0; r < ref.rows; ++r) {
+          for (int c = 0; c < ref.columns; ++c) {
+            stack.emplace_back(ref.child, t * ref.element_transform(c, r));
+          }
+        }
+      }
+    }
+    return units;
+  };
+  const auto write = [&](const std::vector<WorkUnit>& units) {
+    Cell& out = lib.cell(top);
+    out.clear_layer(spec.output_layer);
+    for (const WorkUnit& u : units) {
+      out.add_polygons(spec.output_layer, u.corrected);
+    }
+  };
   // The imaging frame must cover the whole context halo, or context
   // shapes near the frame edge enter the simulation clipped and the
   // "true context" promise silently degrades.
-  FlowSpec eff = spec;
-  eff.sim.guard_nm = std::max(spec.sim.guard_nm, spec.halo_nm);
-
-  // Flatten once for the chip extent (context queries use the per-pass
-  // corrected pool below, which starts from the same drawn geometry).
-  const std::vector<Polygon> flat = lib.flatten(top, spec.input_layer);
-  if (flat.empty()) return stats;
-  Rect chip_box = geom::Rect::empty();
-  for (const auto& p : flat) chip_box = chip_box.united(p.bbox());
-
-  // Enumerate placements (cell instances with shapes on the input layer).
-  struct Placement {
-    const Cell* cell;
-    Transform transform;
-  };
-  std::vector<Placement> placements;
-  // Depth-first expansion mirroring Library::flatten.
-  std::vector<std::pair<std::string, Transform>> stack{{top, Transform{}}};
-  while (!stack.empty()) {
-    auto [name, t] = stack.back();
-    stack.pop_back();
-    const Cell& cell = lib.at(name);
-    if (!cell.shapes(spec.input_layer).empty()) {
-      placements.push_back({&cell, t});
-    }
-    for (const auto& ref : cell.refs()) {
-      for (int r = 0; r < ref.rows; ++r) {
-        for (int c = 0; c < ref.columns; ++c) {
-          stack.emplace_back(ref.child, t * ref.element_transform(c, r));
-        }
-      }
-    }
-  }
-
-  // Per-placement drawn geometry, window, and own-area region.
-  struct Job {
-    std::vector<Polygon> drawn;
-    Rect window = geom::Rect::empty();
-    geom::Region own_region;
-    std::vector<Polygon> corrected;  ///< latest pass output (own only)
-  };
-  std::vector<Job> jobs;
-  jobs.reserve(placements.size());
-  for (const Placement& pl : placements) {
-    Job job;
-    for (const auto& s : pl.cell->shapes(spec.input_layer)) {
-      Polygon placed = pl.transform(s);
-      job.window = job.window.united(placed.bbox());
-      job.drawn.push_back(std::move(placed));
-    }
-    job.own_region = geom::Region::from_polygons(job.drawn);
-    job.corrected = job.drawn;  // pass-0 context = drawn geometry
-    jobs.push_back(std::move(job));
-  }
-
-  CorrectionCache cache({spec.cache_symmetry});
-  StoreSession store(spec, "flat", cache, stats);
-  // After StoreSession: store/preload entries precede library imports in
-  // every resolve bucket, so store_hits keep their pre-library meaning.
-  LibrarySession library(spec, "flat", cache, stats);
-  TileExecutor exec(spec.jobs);
-  JobHooks hooks(spec);
-
-  const int passes = std::max(1, spec.flat_context_passes);
-  for (int pass = 0; pass < passes; ++pass) {
-    // Context pool for this pass: every placement's latest mask state.
-    // Frozen before the phases start, so gathers are read-only.
-    std::vector<Polygon> pool;
-    for (const Job& job : jobs) {
-      for (const auto& p : job.corrected) {
-        pool.push_back(p);
-      }
-    }
-    geom::TileIndex pool_index(chip_box.inflated(spec.halo_nm + 256), 2048);
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      pool_index.insert(i, pool[i].bbox());
-    }
-
-    std::vector<TileWork> tiles(jobs.size());
-
-    // Phase A — gather (parallel): own DRAWN shapes (design intent never
-    // goes stale) plus the latest corrected neighbours as context.
-    {
-      hooks.phase("gather", pass, jobs.size());
-      PhaseScope phase("flow.gather", trace::metric::kFlowPhaseGatherMs);
-      exec.run(jobs.size(), [&](std::size_t i) {
-        trace::Span span("flow.gather.tile", static_cast<std::int64_t>(i));
-        const Job& job = jobs[i];
-        TileWork& t = tiles[i];
-        t.targets = job.drawn;
-        for (std::size_t id :
-             pool_index.query(job.window.inflated(spec.halo_nm))) {
-          const Polygon& cand = pool[id];
-          // Skip our own shapes: anything overlapping our drawn area is
-          // ours (moves are far smaller than placement spacing).
-          if (!job.own_region.intersected(geom::Region(cand.normalized()))
-                   .empty()) {
-            continue;
-          }
-          t.targets.push_back(cand);
-        }
-        if (spec.cache) {
-          t.key = CorrectionCache::make_key(t.targets, job.own_region,
-                                            job.window);
-        }
-      });
-    }
-
-    // Phase B — resolve (serial, placement order).
-    {
-      hooks.phase("resolve", pass, jobs.size());
-      PhaseScope phase("flow.resolve", trace::metric::kFlowPhaseResolveMs);
-      if (spec.cache) resolve_tiles(cache, library, tiles, stats);
-    }
-
-    // Phase C — solve (parallel).
-    {
-      hooks.phase("solve", pass, jobs.size());
-      PhaseScope phase("flow.solve", trace::metric::kFlowPhaseSolveMs);
-      exec.run(jobs.size(), [&](std::size_t i) {
-        TileWork& t = tiles[i];
-        if (t.replay) return;
-        trace::Span span("flow.solve.tile", static_cast<std::int64_t>(i));
-        WarmStart warm;
-        if (t.warm) warm.seeds = t.seeds;
-        solve_tile_engine(spec, eff.sim, jobs[i].window,
-                          t.warm ? &warm : nullptr, t);
-      });
-    }
-
-    // Phase D — merge (serial, placement order). A replay's
-    // representative always precedes it in this order (resolve handed
-    // out entries in the same order), so every store lands before the
-    // fetch that needs it.
-    {
-      hooks.phase("merge", pass, jobs.size());
-      PhaseScope phase("flow.merge", trace::metric::kFlowPhaseMergeMs);
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        hooks.check_cancel();
-        Job& job = jobs[i];
-        TileWork& t = tiles[i];
-        if (t.replay) {
-          job.corrected = cache.fetch(t.res.entry, t.key);
-          stats.tile_simulations.push_back(0);
-          store.on_tile_merged(cache, true, t.res.entry, stats);
-          hooks.tile_merged(pass, i + 1, jobs.size());
-          continue;
-        }
-        job.corrected.clear();
-        if (t.ilt) {
-          account_ilt_solve(t, stats);
-          // ILT can synthesize free-floating assists that overlap no
-          // drawn shape, so "ours" is everything inside the window (the
-          // legalizer clips to it); the locked context passthrough sits
-          // outside and drops here, like the neighbour filter below.
-          for (const auto& p : t.ilt_result.corrected) {
-            if (job.window.contains(p.bbox())) job.corrected.push_back(p);
-          }
-        } else {
-          account_fresh_solve(t.result, stats);
-          if (t.escalated) account_reverted_escalation(t, stats);
-          for (const auto& p : t.result.corrected) {
-            if (!job.own_region.intersected(geom::Region(p)).empty()) {
-              job.corrected.push_back(p);
-            }
-          }
-        }
-        if (spec.cache) {
-          cache.store(t.res.entry, t.key, job.corrected);
-          if (!t.ilt) library.on_fresh_solve(cache, t, stats);
-        }
-        store.on_tile_merged(cache, false, t.res.entry, stats);
-        hooks.tile_merged(pass, i + 1, jobs.size());
-      }
-    }
-  }
-
-  Cell& out_cell = lib.cell(top);
-  out_cell.clear_layer(spec.output_layer);
-  for (const Job& job : jobs) {
-    for (const auto& p : job.corrected) {
-      out_cell.add_polygon(spec.output_layer, p);
-      ++stats.corrected_polygons;
-    }
-  }
-
-  // Phase E — MRC signoff over the written flat mask, one gate tile per
-  // placement (the corrected extents, not the drawn windows: corrected
-  // edges can move outward and the kept zones must cover every marker).
-  if (!spec.mrc_deck.empty()) {
-    hooks.phase("mrc", passes - 1, jobs.size());
-    std::vector<Polygon> final_pool;
-    std::vector<Rect> windows;
-    windows.reserve(jobs.size());
-    for (const Job& job : jobs) {
-      Rect w = geom::Rect::empty();
-      for (const auto& p : job.corrected) {
-        w = w.united(p.bbox());
-        final_pool.push_back(p);
-      }
-      windows.push_back(w);
-    }
-    run_flat_mrc_gate(spec, exec, final_pool, windows, stats);
-  }
-
-  finalize_cache_stats(cache, stats);
-  publish_flow_metrics(before, stats);
-  stats.wall_ms = elapsed_ms(t0);
-  apply_mrc_action(spec, stats);
-  return stats;
+  litho::SimSpec sim = spec.sim;
+  sim.guard_nm = std::max(spec.sim.guard_nm, spec.halo_nm);
+  return run_tiled(lib, spec,
+                   {.span = "flow.flat",
+                    .kind = "flat",
+                    .shared_context = true,
+                    .passes = std::max(1, spec.flat_context_passes),
+                    .sim = sim,
+                    .enumerate = enumerate,
+                    .write = write,
+                    .signoff = signoff_flat});
 }
 
 }  // namespace opckit::opc

@@ -16,19 +16,31 @@
 ///
 /// ## Execution model
 ///
-/// Both flows run as a sequence of *phases* over independent work units
-/// (tiles: one placement in the flat flow, one cell in the cell flow):
+/// Both flows run on one tiled driver. It takes a list of *work units*
+/// (tiles): one per distinct cell with input-layer shapes in the cell
+/// flow, in name order; one per placement in the flat flow, in
+/// depth-first stack order. A unit holds its drawn input-layer shapes,
+/// a window equal to their bounding box (shapes on other layers never
+/// widen it), the region it owns, and its latest corrected mask. Each
+/// pass runs four *phases* over the units:
 ///
 ///   A. **gather** (parallel)  — assemble each tile's simulation input
-///      (own targets + halo context) and its cache key; reads shared
+///      (own drawn shapes, plus in the flat flow the other units' latest
+///      corrected masks within the halo) and its cache key; reads shared
 ///      immutable state only.
 ///   B. **resolve** (serial)   — look every tile up in the correction
-///      cache, in placement order, so the choice of representative per
+///      cache, in unit order, so the choice of representative per
 ///      pattern class never depends on thread timing.
-///   C. **solve** (parallel)   — run_model_opc on the tiles that missed;
-///      pure function of per-tile inputs.
-///   D. **merge** (serial)     — store/replay cache solutions and write
-///      corrected shapes, again in placement order.
+///   C. **solve** (parallel)   — the configured engine on the tiles that
+///      missed; pure function of per-tile inputs.
+///   D. **merge** (serial)     — account, keep the unit's own shapes,
+///      store/replay cache solutions, again in unit order.
+///
+/// The cell flow runs one pass with no shared context; the flat flow runs
+/// flat_context_passes with it, and widens the imaging guard to the halo.
+/// After the last pass the driver writes the masks (each cell's output
+/// layer, or the top cell's, flat) and runs the MRC gate, per cell or per
+/// placement tile.
 ///
 /// Because every parallel phase is read-only on shared state and every
 /// ordering decision happens in a serial phase, the output is

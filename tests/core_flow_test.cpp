@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/flow.h"
 #include "layout/generators.h"
+#include "trace/metrics.h"
 
 namespace opckit::opc {
 namespace {
@@ -83,6 +86,74 @@ TEST(Flow, RerunReplacesOutputLayer) {
   const std::size_t n1 = lib.at("leaf").shapes(spec.output_layer).size();
   run_cell_opc(lib, "top", spec);
   EXPECT_EQ(lib.at("leaf").shapes(spec.output_layer).size(), n1);
+}
+
+// FlowDriver: both flows run on one tiled driver. These cases pin where
+// the two flows used to differ; tools/ci.sh runs the suite under TSan.
+
+TEST(FlowDriver, ShapesOnOtherLayersDoNotChangeOutput) {
+  // A metal-1 bar below the poly must not widen the cell's window (and
+  // with it the simulation frame): the unit window is the bbox of the
+  // input-layer shapes.
+  auto with_metal = [] {
+    Library lib = small_chip(2, 1);
+    lib.cell("leaf").add_rect(layout::layers::kMetal1,
+                              geom::Rect(0, -3000, 720, -2800));
+    return lib;
+  };
+  FlowSpec spec = fast_flow();
+  for (const int jobs : {1, 4}) {
+    spec.jobs = jobs;
+    Library plain = small_chip(2, 1);
+    Library metal = with_metal();
+    run_cell_opc(plain, "top", spec);
+    run_cell_opc(metal, "top", spec);
+    const auto want = plain.at("leaf").shapes(spec.output_layer);
+    const auto got = metal.at("leaf").shapes(spec.output_layer);
+    ASSERT_FALSE(want.empty());
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()))
+        << "jobs=" << jobs;
+  }
+  // The flat flow always took its windows from the input layer alone.
+  spec.flat_context_passes = 1;
+  Library plain = small_chip(2, 1);
+  Library metal = with_metal();
+  run_flat_opc(plain, "top", spec);
+  run_flat_opc(metal, "top", spec);
+  const auto want = plain.at("top").shapes(spec.output_layer);
+  const auto got = metal.at("top").shapes(spec.output_layer);
+  ASSERT_FALSE(want.empty());
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()));
+}
+
+TEST(FlowDriver, ChipWithoutInputShapesStillRunsTheWholeFlow) {
+  // Only metal-1 below the top, and a stale mask on the top's output
+  // layer from some earlier run.
+  Library lib("chip");
+  lib.cell("leaf").add_rect(layout::layers::kMetal1,
+                            geom::Rect(0, 0, 180, 1200));
+  layout::make_chip(lib, "top", "leaf", 2, 1, {1400, 1800});
+  FlowSpec spec = fast_flow();
+  lib.cell("top").add_rect(spec.output_layer, geom::Rect(0, 0, 100, 100));
+  spec.mrc_deck = mrc::mask_deck_180();
+  for (const int jobs : {1, 4}) {
+    spec.jobs = jobs;
+    for (const bool flat : {false, true}) {
+      const FlowStats stats = flat ? run_flat_opc(lib, "top", spec)
+                                   : run_cell_opc(lib, "top", spec);
+      const char* flow = flat ? "flat" : "cell";
+      EXPECT_EQ(stats.opc_runs, 0u) << flow;
+      EXPECT_GT(stats.wall_ms, 0.0) << flow;
+      EXPECT_EQ(stats.metrics.counters.count(trace::metric::kFlowTilesMerged),
+                1u)
+          << flow;
+      EXPECT_TRUE(stats.mrc_checked) << flow;
+      EXPECT_TRUE(stats.mrc.violations.empty()) << flow;
+    }
+    // The flat flow owns the top's output layer: the stale mask is gone.
+    EXPECT_TRUE(lib.at("top").shapes(spec.output_layer).empty());
+    lib.cell("top").add_rect(spec.output_layer, geom::Rect(0, 0, 100, 100));
+  }
 }
 
 }  // namespace

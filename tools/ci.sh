@@ -107,9 +107,11 @@ job_tsan() {
   # driver's parallel gather/solve phases on top of it; FlowResume: the
   # persistent store's append path behind the serial merge phase;
   # TraceFlow: worker threads writing per-thread span buffers and metric
-  # atomics during a traced jobs=8 flow, merged at flow end.
+  # atomics during a traced jobs=8 flow, merged at flow end; FlowDriver:
+  # both flows on the shared driver at jobs=4.
   (cd build-ci-tsan && \
-   ctest "${CTEST_ARGS[@]}" -R 'ThreadPool|FlowParallel|FlowResume|TraceFlow')
+   ctest "${CTEST_ARGS[@]}" \
+         -R 'ThreadPool|FlowParallel|FlowResume|TraceFlow|FlowDriver')
   # Gate on the `trace` label explicitly so a test-discovery regression
   # can never silently drop the traced-flow suite from the TSan matrix.
   (cd build-ci-tsan && \
