@@ -86,22 +86,24 @@ constexpr CodeInfo kCodes[] = {
      "order the clamps: grid <= per-iter move <= total offset <= probe "
      "range"},
 
+    // The codes cover both files on the shared record framing: the
+    // correction store (.ocs) and the pattern library (.ocl).
     {"STO001", Severity::kError,
-     "correction store written under a different process fingerprint",
-     "rerun without --resume to rebuild the store under the current "
-     "model/deck/flow setup"},
+     "store or library file written under a different process fingerprint",
+     "rebuild it under the current model/deck/flow setup: rerun a store "
+     "without --resume, delete a library"},
     {"STO002", Severity::kWarning,
-     "correction store tail torn mid-record; partial record dropped",
+     "store or library file tail torn mid-record; partial record dropped",
      "no action needed — the interrupted tile is re-solved and the tail "
      "is truncated on the next append"},
     {"STO003", Severity::kError,
-     "correction store header malformed or version unknown",
-     "the file is not a store this build can read; delete it and rerun "
-     "without --resume"},
+     "store or library file header malformed or version unknown",
+     "the file is not one this build can read; delete it (and rerun a "
+     "store without --resume)"},
     {"STO004", Severity::kError,
-     "correction store record corrupt (checksum or structure)",
-     "the store is damaged beyond a torn tail; delete it and rerun "
-     "without --resume"},
+     "store or library file record corrupt (checksum or structure)",
+     "the file is damaged beyond a torn tail; delete it (and rerun a "
+     "store without --resume)"},
 
     // Mask-rule signoff (scanline MRC engine, src/mrc). Each finding
     // carries the witness edges and measured distance in its message

@@ -13,9 +13,10 @@
 ///    pattern under a caller-set distance budget, pruned by the triangle
 ///    inequality on cached L2 norms — deterministic, ties broken by
 ///    insertion order;
-///  - the on-disk format reuses the `.ocs` integrity discipline: magic +
-///    version + fingerprint header under a CRC, length-prefixed CRC32
-///    records, torn-tail recovery on load, refusal on real corruption.
+///  - the on-disk format is the `.ocs` store's record framing
+///    (store/record_file.h) under its own magic: fingerprinted header,
+///    length-prefixed CRC32 records, torn-tail recovery on load, refusal
+///    on real corruption.
 ///
 /// Thread safety: none. The flow touches the library only from its serial
 /// phases; the daemon serializes access under the CorrectionLibrary mutex
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "pattern/feature.h"
+#include "store/record_file.h"
 #include "store/result_store.h"
 
 namespace opckit::pat {
@@ -67,17 +69,10 @@ struct LibraryLoadInfo {
 
 /// The pattern library. Default-constructed instances are memory-only;
 /// open() attaches a file that every insert() appends to. Move-only (it
-/// may own an append file descriptor); clone_memory() produces a
-/// detached, copy-safe snapshot for concurrent readers.
+/// may own an append file handle); clone_memory() produces a detached,
+/// copy-safe snapshot for concurrent readers.
 class PatternLibrary {
  public:
-  PatternLibrary() = default;
-  PatternLibrary(PatternLibrary&&) noexcept;
-  PatternLibrary& operator=(PatternLibrary&&) noexcept;
-  PatternLibrary(const PatternLibrary&) = delete;
-  PatternLibrary& operator=(const PatternLibrary&) = delete;
-  ~PatternLibrary();
-
   /// Open a file-backed library: load \p path if it exists (verifying the
   /// magic, version, and \p fingerprint; recovering a torn tail) or
   /// create it. Throws util::InputError on I/O failure or corruption.
@@ -116,9 +111,7 @@ class PatternLibrary {
   /// daemon's CorrectionLibrary).
   std::vector<std::uint64_t> window_hashes_;
   LibraryLoadInfo load_info_;
-  std::string path_;
-  int fd_ = -1;
-  bool sync_on_append_ = true;
+  std::optional<store::RecordWriter> writer_;  ///< file-backed only
 };
 
 }  // namespace opckit::pat

@@ -15,45 +15,19 @@
 /// context changed simply miss the preloaded entries and are re-solved;
 /// invalidation is key-exact, never heuristic.
 ///
-/// ## File format (version 1, little-endian)
+/// ## File format
 ///
-/// ```
-/// header  (24 bytes)
-///   u8[8]  magic  "OPCKITS1"
-///   u32    version (1)
-///   u64    fingerprint   — hash of every process knob replay depends on
-///                          (optical model, OPC recipe, flow shape); see
-///                          opc::flow_fingerprint. A store written under
-///                          one setup must refuse replay under another.
-///   u32    crc32 of the 20 bytes above
-/// record  (repeated; one solved pattern class, canonical frame)
-///   u32    payload length L
-///   u8[L]  payload        — TileRecord serialization (see .cpp)
-///   u32    crc32(payload)
-/// ```
-///
-/// ## Integrity contract
-///
-/// * Records append strictly after the serial merge phase of the flow
-///   driver and are flushed per record — the writer is never touched by
-///   a parallel phase, so the TSan job stays clean.
-/// * A *torn tail* (file ends inside a record: a crash mid-write) is
-///   recovered on load: the partial record is dropped, the valid prefix
-///   is kept, and append_to() truncates the file back to it (STO002,
-///   warning). Losing the last tile re-solves one tile; losing the store
-///   re-solves the chip.
-/// * Any *complete* record whose CRC or structure does not verify is
-///   corruption, not a torn write: the load refuses (STO004). Same for a
-///   malformed header (STO003) and a fingerprint mismatch (STO001) —
-///   a store is never silently replayed into the wrong process setup.
-/// * Load-or-refuse is deterministic and allocation-bounded: lengths and
-///   element counts are validated against the bytes actually present
-///   before anything is allocated, so a corrupt file can never crash or
-///   OOM the loader (the corpus tests run under ASan/UBSan).
+/// The shared record framing of record_file.h under the magic
+/// "OPCKITS1": a fingerprinted header, then one length + CRC framed
+/// record per solved pattern class (a TileRecord, canonical frame; the
+/// payload layout is in the .cpp), with the framing's torn-tail recovery
+/// and refusal contract (STO001..STO004). Records append strictly after
+/// the serial merge phase of the flow driver and are flushed per record
+/// — the writer is never touched by a parallel phase, so the TSan job
+/// stays clean.
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -61,6 +35,7 @@
 #include "geometry/rect.h"
 #include "geometry/transform.h"
 #include "lint/diagnostic.h"
+#include "store/record_file.h"
 
 namespace opckit::store {
 
@@ -95,15 +70,14 @@ struct LoadResult {
 /// file) or append_to() (extend a loaded file); append() writes and
 /// flushes one record. Move-only.
 ///
-/// The writer is a raw POSIX descriptor, not an iostream: each record is
-/// one unbuffered write() (a crash can tear at most the record in
-/// flight), and \p sync_on_append upgrades that to write() + fsync().
-/// The upgrade is opt-in and OFF by default — batch flows are served by
-/// the torn-tail contract (a crash re-solves one tile) and per-record
-/// fsync is a large constant cost, but the service daemon's durability
-/// claim ("results already merged survive a daemon crash") needs the
-/// data on the platter, not in the page cache, before the result frame
-/// is acknowledged to the client.
+/// Each record is one unbuffered write() (see RecordWriter), and
+/// \p sync_on_append upgrades that to write() + fsync(). The upgrade is
+/// opt-in and OFF by default — batch flows are served by the torn-tail
+/// contract (a crash re-solves one tile) and per-record fsync is a large
+/// constant cost, but the service daemon's durability claim ("results
+/// already merged survive a daemon crash") needs the data on the
+/// platter, not in the page cache, before the result frame is
+/// acknowledged to the client.
 class ResultStore {
  public:
   /// Create (truncate) \p path and write a version-1 header carrying
@@ -132,36 +106,25 @@ class ResultStore {
   /// Throws util::InputError on I/O failure.
   void append(const TileRecord& record);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return writer_.path(); }
   /// Records appended through this handle.
   std::size_t appended() const { return appended_; }
   /// fsync-after-append policy this handle was opened with.
-  bool sync_on_append() const { return sync_on_append_; }
+  bool sync_on_append() const { return writer_.sync_on_append(); }
   /// fsync() calls issued: equals appended() when sync_on_append is on
   /// (the header rides the first record's sync — fsync flushes the whole
   /// file), 0 when it is off. Exposed so tests can assert the flag is
   /// honored without instrumenting the kernel.
-  std::size_t synced() const { return synced_; }
-
-  ResultStore(ResultStore&& other) noexcept;
-  ResultStore& operator=(ResultStore&& other) noexcept;
-  ~ResultStore();
+  std::size_t synced() const { return writer_.synced(); }
 
  private:
-  ResultStore(std::string path, int fd, bool sync_on_append)
-      : path_(std::move(path)), fd_(fd), sync_on_append_(sync_on_append) {}
+  explicit ResultStore(RecordWriter writer) : writer_(std::move(writer)) {}
 
-  std::string path_;
-  int fd_ = -1;
-  bool sync_on_append_ = false;
+  RecordWriter writer_;
   std::size_t appended_ = 0;
-  std::size_t synced_ = 0;
 };
 
 namespace store_detail {
-/// CRC-32 (IEEE 802.3, reflected) over a byte range; exposed for the
-/// corrupt-file corpus tests, which must forge valid checksums.
-std::uint32_t crc32(const void* data, std::size_t size);
 /// Serialize one record to the payload byte layout (exposed for tests).
 std::vector<std::uint8_t> encode_record(const TileRecord& record);
 /// Parse one record payload (the inverse of encode_record); returns false
