@@ -752,29 +752,4 @@ void SparseInverseBatch::inverse_field(const Complex* spectrum,
       });
 }
 
-void fft_1d(std::vector<Complex>& data, bool inverse) {
-  const std::size_t n = data.size();
-  OPCKIT_CHECK_MSG(is_pow2(n), "FFT size " << n << " is not a power of two");
-  const auto plan = PlanCache::instance().get(n, FftKind::kComplex);
-  plan->transform(data.data(),
-                  inverse ? FftDirection::kInverse : FftDirection::kForward);
-  if (inverse) {
-    const double inv = 1.0 / static_cast<double>(n);
-    for (auto& v : data) v *= inv;
-  }
-}
-
-void fft_2d(std::vector<Complex>& data, std::size_t nx, std::size_t ny,
-            bool inverse) {
-  OPCKIT_CHECK(data.size() == nx * ny);
-  OPCKIT_CHECK_MSG(is_pow2(nx) && is_pow2(ny),
-                   "FFT dims " << nx << 'x' << ny << " not powers of two");
-  const Fft2d plan(nx, ny);
-  if (inverse) {
-    plan.inverse(data);
-  } else {
-    plan.forward(data);
-  }
-}
-
 }  // namespace opckit::litho

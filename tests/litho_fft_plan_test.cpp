@@ -297,7 +297,7 @@ TEST(SparseBatch, MatchesDenseInverseBitExact) {
   for (std::size_t j = 0; j < support.size(); ++j) {
     field[support[j]] = spectrum[support[j]] * factors[j];
   }
-  fft_2d(field, nx, ny, /*inverse=*/true);
+  plan.inverse(field);
   for (std::size_t i = 0; i < field.size(); ++i) {
     EXPECT_EQ(pruned[i], std::norm(field[i])) << "pixel " << i;
   }
@@ -340,7 +340,7 @@ TEST(SparseBatch, InverseFieldMagnitudeMatchesInverseMag2) {
   for (std::size_t j = 0; j < support.size(); ++j) {
     dense[support[j]] = spectrum[support[j]] * factors[j];
   }
-  fft_2d(dense, nx, ny, /*inverse=*/true);
+  plan.inverse(dense);
   for (std::size_t i = 0; i < dense.size(); ++i) {
     EXPECT_EQ(field[i].real(), dense[i].real()) << "pixel " << i;
     EXPECT_EQ(field[i].imag(), dense[i].imag()) << "pixel " << i;
@@ -356,7 +356,8 @@ Image blur_dense_reference(const Image& img, double sigma_nm) {
   const Frame& f = img.frame();
   std::vector<Complex> spec(f.nx * f.ny);
   for (std::size_t i = 0; i < spec.size(); ++i) spec[i] = img.values()[i];
-  fft_2d(spec, f.nx, f.ny, /*inverse=*/false);
+  const Fft2d plan(f.nx, f.ny);
+  plan.forward(spec);
   const double c =
       -2.0 * std::numbers::pi * std::numbers::pi * sigma_nm * sigma_nm;
   for (std::size_t ky = 0; ky < f.ny; ++ky) {
@@ -366,7 +367,7 @@ Image blur_dense_reference(const Image& img, double sigma_nm) {
       spec[ky * f.nx + kx] *= std::exp(c * (fx * fx + fy * fy));
     }
   }
-  fft_2d(spec, f.nx, f.ny, /*inverse=*/true);
+  plan.inverse(spec);
   Image out(f);
   for (std::size_t i = 0; i < spec.size(); ++i) {
     out.values()[i] = spec[i].real();

@@ -22,29 +22,29 @@ TEST(Fft, Pow2Helpers) {
 }
 
 TEST(Fft, RejectsNonPow2) {
-  std::vector<Complex> v(6);
-  EXPECT_THROW(fft_1d(v, false), util::CheckError);
+  EXPECT_THROW(FftPlan(6, FftKind::kComplex), util::CheckError);
 }
 
 TEST(Fft, SizeOneIsIdentity) {
+  const FftPlan plan(1, FftKind::kComplex);
   std::vector<Complex> v{Complex{1.5, -2.5}};
-  fft_1d(v, false);
+  plan.transform(v.data(), FftDirection::kForward);
   EXPECT_EQ(v[0], (Complex{1.5, -2.5}));
-  fft_1d(v, true);
+  plan.transform(v.data(), FftDirection::kInverse);  // 1/N = 1
   EXPECT_EQ(v[0], (Complex{1.5, -2.5}));
 }
 
 TEST(Fft, TwoDimensionalRejectsSizeMismatch) {
   std::vector<Complex> v(8);  // 8 elements cannot be a 4x4 frame
-  EXPECT_THROW(fft_2d(v, 4, 4, false), util::CheckError);
-  std::vector<Complex> w(12);  // right count, non-pow2 dims
-  EXPECT_THROW(fft_2d(w, 3, 4, false), util::CheckError);
+  EXPECT_THROW(Fft2d(4, 4).forward(v), util::CheckError);
+  EXPECT_THROW(Fft2d(3, 4), util::CheckError);  // non-pow2 dims
 }
 
 TEST(Fft, ImpulseHasFlatSpectrum) {
   std::vector<Complex> v(16, Complex{0, 0});
   v[0] = 1.0;
-  fft_1d(v, false);
+  FftPlan(v.size(), FftKind::kComplex)
+      .transform(v.data(), FftDirection::kForward);
   for (const auto& c : v) {
     EXPECT_NEAR(c.real(), 1.0, 1e-12);
     EXPECT_NEAR(c.imag(), 0.0, 1e-12);
@@ -56,8 +56,10 @@ TEST(Fft, RoundTripRandom) {
   std::vector<Complex> v(128);
   for (auto& c : v) c = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
   const auto orig = v;
-  fft_1d(v, false);
-  fft_1d(v, true);
+  const FftPlan plan(v.size(), FftKind::kComplex);
+  plan.transform(v.data(), FftDirection::kForward);
+  plan.transform(v.data(), FftDirection::kInverse);
+  for (auto& c : v) c /= static_cast<double>(v.size());
   for (std::size_t i = 0; i < v.size(); ++i) {
     EXPECT_NEAR(v[i].real(), orig[i].real(), 1e-10);
     EXPECT_NEAR(v[i].imag(), orig[i].imag(), 1e-10);
@@ -73,7 +75,7 @@ TEST(Fft, SingleToneLandsInCorrectBin) {
                       static_cast<double>(n);
     v[i] = Complex{std::cos(ph), std::sin(ph)};
   }
-  fft_1d(v, false);
+  FftPlan(n, FftKind::kComplex).transform(v.data(), FftDirection::kForward);
   for (std::size_t k = 0; k < n; ++k) {
     const double mag = std::abs(v[k]);
     if (k == tone) {
@@ -92,7 +94,8 @@ TEST(Fft, ParsevalHolds) {
     c = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
     time_energy += std::norm(c);
   }
-  fft_1d(v, false);
+  FftPlan(v.size(), FftKind::kComplex)
+      .transform(v.data(), FftDirection::kForward);
   double freq_energy = 0;
   for (const auto& c : v) freq_energy += std::norm(c);
   EXPECT_NEAR(freq_energy, time_energy * 256.0, 1e-8);
@@ -104,8 +107,9 @@ TEST(Fft, TwoDimensionalRoundTrip) {
   std::vector<Complex> v(nx * ny);
   for (auto& c : v) c = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
   const auto orig = v;
-  fft_2d(v, nx, ny, false);
-  fft_2d(v, nx, ny, true);
+  const Fft2d plan(nx, ny);
+  plan.forward(v);
+  plan.inverse(v);
   for (std::size_t i = 0; i < v.size(); ++i) {
     EXPECT_NEAR(v[i].real(), orig[i].real(), 1e-10);
     EXPECT_NEAR(v[i].imag(), orig[i].imag(), 1e-10);
@@ -115,7 +119,7 @@ TEST(Fft, TwoDimensionalRoundTrip) {
 TEST(Fft, TwoDimensionalDcTerm) {
   const std::size_t nx = 8, ny = 8;
   std::vector<Complex> v(nx * ny, Complex{2.0, 0.0});
-  fft_2d(v, nx, ny, false);
+  Fft2d(nx, ny).forward(v);
   EXPECT_NEAR(v[0].real(), 2.0 * nx * ny, 1e-10);
   for (std::size_t i = 1; i < v.size(); ++i) {
     EXPECT_NEAR(std::abs(v[i]), 0.0, 1e-10);
