@@ -230,9 +230,8 @@ int cmd_mrc(const Options& opts, std::ostream& out) {
   return mrc::to_lint_report(report).clean() ? 0 : 1;
 }
 
-/// Shared by cmd_opc (flow modes) and cmd_submit: parse --engine and the
-/// --ilt-* knobs into the spec, with the same validation on both paths
-/// so a daemon job and a local run of the same options share one spec.
+/// Part of build_flow_spec: parse --engine and the --ilt-* knobs into
+/// the spec.
 void apply_engine_options(const Options& opts, opc::FlowSpec& spec) {
   const std::string engine = opts.get("engine", "model");
   if (engine == "model") {
@@ -284,6 +283,64 @@ void apply_engine_options(const Options& opts, opc::FlowSpec& spec) {
   }
 }
 
+/// The process of --imaging/--socs-epsilon, its resist threshold
+/// calibrated at --anchor-cd/--anchor-pitch. The imaging engine is set
+/// first, so calibration and the production runs use the same engine.
+litho::SimSpec calibrated_process(const Options& opts) {
+  const std::string imaging = opts.get("imaging", "abbe");
+  if (imaging != "abbe" && imaging != "socs") {
+    throw util::InputError("unknown --imaging (use abbe or socs): " +
+                           imaging);
+  }
+  litho::SimSpec sim;
+  sim.imaging = imaging == "socs" ? litho::ImagingMode::kSocs
+                                  : litho::ImagingMode::kAbbe;
+  sim.socs_epsilon = opts.get_double("socs-epsilon", sim.socs_epsilon);
+  litho::calibrate_threshold(
+      sim, static_cast<geom::Coord>(opts.get_int("anchor-cd", 180)),
+      static_cast<geom::Coord>(opts.get_int("anchor-pitch", 360)));
+  return sim;
+}
+
+/// The FlowSpec of `opc --flow flat|cell` and of `submit`, validated the
+/// same way for both, so a daemon job and a single-process run of the
+/// same options share one spec — one fingerprint, byte-identical output.
+/// Persistence (--store, --resume, --library) is cmd_opc's to add; the
+/// daemon owns it for submit.
+opc::FlowSpec build_flow_spec(const Options& opts) {
+  const std::string mrc_action = opts.get("mrc-action", "fail");
+  if (mrc_action != "fail" && mrc_action != "warn") {
+    throw util::InputError("unknown --mrc-action (use fail or warn): " +
+                           mrc_action);
+  }
+  if (opts.has("mrc-action") && !opts.has("mrc-deck")) {
+    throw util::InputError("--mrc-action requires --mrc-deck FILE|default");
+  }
+  opc::FlowSpec spec;
+  spec.sim = calibrated_process(opts);
+  spec.input_layer = parse_layer(opts.require("layer"));
+  spec.output_layer = layout::Layer{
+      spec.input_layer.layer,
+      static_cast<std::uint16_t>(spec.input_layer.datatype + 1)};
+  spec.jobs = static_cast<int>(opts.get_int("jobs", 1));
+  spec.cache = !opts.has("no-cache");
+  apply_engine_options(opts, spec);
+  // The near-match budget is fingerprint-mixed, so it rides with the
+  // spec; the library file is --library (opc) or the daemon's.
+  spec.library_budget = opts.get_double("library-budget", 0.0);
+  if (!(spec.library_budget >= 0.0)) {
+    throw util::InputError("--library-budget must be >= 0");
+  }
+  if (opts.has("mrc-deck")) {
+    const std::string deck = opts.require("mrc-deck");
+    spec.mrc_deck = deck == "default" ? mrc::mask_deck_180()
+                                      : mrc::read_deck_file(deck);
+    spec.mrc_action =
+        mrc_action == "warn" ? mrc::Action::kWarn : mrc::Action::kFail;
+  }
+  return spec;
+}
+
 int cmd_opc(const Options& opts, std::ostream& out) {
   const std::string mode = opts.get("mode", "model");
   const std::string flow = opts.get("flow", "direct");
@@ -316,68 +373,21 @@ int cmd_opc(const Options& opts, std::ostream& out) {
     throw util::InputError("unknown --stats format (use json): " +
                            opts.get("stats", ""));
   }
-  const std::string mrc_action = opts.get("mrc-action", "fail");
-  if (mrc_action != "fail" && mrc_action != "warn") {
-    throw util::InputError("unknown --mrc-action (use fail or warn): " +
-                           mrc_action);
-  }
-  if (opts.has("mrc-action") && !opts.has("mrc-deck")) {
-    throw util::InputError("--mrc-action requires --mrc-deck FILE|default");
-  }
-  const std::string imaging = opts.get("imaging", "abbe");
-  if (imaging != "abbe" && imaging != "socs") {
-    throw util::InputError("unknown --imaging (use abbe or socs): " +
-                           imaging);
-  }
   if (mode == "rule" && (opts.has("imaging") || opts.has("socs-epsilon"))) {
     throw util::InputError("--imaging/--socs-epsilon require --mode model");
   }
-  // Applied before threshold calibration so the calibrated resist
-  // threshold and the production runs use the same imaging engine.
-  const auto apply_imaging = [&](litho::SimSpec& sim) {
-    sim.imaging = imaging == "socs" ? litho::ImagingMode::kSocs
-                                    : litho::ImagingMode::kAbbe;
-    sim.socs_epsilon = opts.get_double("socs-epsilon", sim.socs_epsilon);
-  };
-
-  layout::Library lib = layout::read_gdsii_file(opts.require("in"));
-  const std::string top = pick_cell(lib, opts);
-  const layout::Layer in_layer = parse_layer(opts.require("layer"));
-  const layout::Layer out_layer{in_layer.layer,
-                                static_cast<std::uint16_t>(
-                                    in_layer.datatype + 1)};
 
   // The full-chip flows (--flow flat|cell): placement-aware correction on
   // the parallel tiled driver, with the pattern-reuse cache on unless
   // --no-cache. run_*_opc runs its own pre-flight gate (library + model
   // parameters), so no separate lint pass is needed here.
   if (flow != "direct") {
-    opc::FlowSpec spec;
-    apply_imaging(spec.sim);
-    litho::calibrate_threshold(
-        spec.sim, static_cast<geom::Coord>(opts.get_int("anchor-cd", 180)),
-        static_cast<geom::Coord>(opts.get_int("anchor-pitch", 360)));
-    spec.input_layer = in_layer;
-    spec.output_layer = out_layer;
-    spec.jobs = static_cast<int>(opts.get_int("jobs", 1));
-    spec.cache = !opts.has("no-cache");
-    apply_engine_options(opts, spec);
+    opc::FlowSpec spec = build_flow_spec(opts);
     if (opts.has("store")) spec.store_path = opts.require("store");
     spec.resume = opts.has("resume");
-    if (opts.has("library")) {
-      spec.library_path = opts.require("library");
-      spec.library_budget = opts.get_double("library-budget", 0.0);
-      if (!(spec.library_budget >= 0.0)) {
-        throw util::InputError("--library-budget must be >= 0");
-      }
-    }
-    if (opts.has("mrc-deck")) {
-      const std::string deck = opts.require("mrc-deck");
-      spec.mrc_deck = deck == "default" ? mrc::mask_deck_180()
-                                        : mrc::read_deck_file(deck);
-      spec.mrc_action = mrc_action == "warn" ? mrc::Action::kWarn
-                                             : mrc::Action::kFail;
-    }
+    if (opts.has("library")) spec.library_path = opts.require("library");
+    layout::Library lib = layout::read_gdsii_file(opts.require("in"));
+    const std::string top = pick_cell(lib, opts);
     const bool tracing = opts.has("trace");
     if (tracing) trace::Tracer::instance().start();
     opc::FlowStats stats;
@@ -459,7 +469,7 @@ int cmd_opc(const Options& opts, std::ostream& out) {
     layout::write_gdsii_file(lib, opts.require("out"));
     if (!opts.has("stats")) {
       out << "wrote " << opts.require("out") << " (corrected shapes on "
-          << out_layer << ")\n";
+          << spec.output_layer << ")\n";
     }
     if (mrc_failed) {
       if (!opts.has("stats")) {
@@ -471,6 +481,13 @@ int cmd_opc(const Options& opts, std::ostream& out) {
     }
     return 0;
   }
+
+  layout::Library lib = layout::read_gdsii_file(opts.require("in"));
+  const std::string top = pick_cell(lib, opts);
+  const layout::Layer in_layer = parse_layer(opts.require("layer"));
+  const layout::Layer out_layer{in_layer.layer,
+                                static_cast<std::uint16_t>(
+                                    in_layer.datatype + 1)};
 
   // Direct mode corrects the flattened layer as one window. It bypasses
   // the flow driver, so it must refuse invalid inputs itself (a reduced
@@ -497,13 +514,7 @@ int cmd_opc(const Options& opts, std::ostream& out) {
     corrected = opc::apply_rule_opc(polys, deck).corrected;
     out << "rule OPC: " << corrected.size() << " corrected polygons\n";
   } else if (mode == "model") {
-    litho::SimSpec process;
-    apply_imaging(process);
-    const auto anchor_cd =
-        static_cast<geom::Coord>(opts.get_int("anchor-cd", 180));
-    const auto anchor_pitch =
-        static_cast<geom::Coord>(opts.get_int("anchor-pitch", 360));
-    litho::calibrate_threshold(process, anchor_cd, anchor_pitch);
+    const litho::SimSpec process = calibrated_process(opts);
     opc::ModelOpcSpec spec;
     const auto r = opc::run_model_opc(polys, process, window, spec);
     corrected = r.corrected;
@@ -738,55 +749,14 @@ int cmd_submit(const Options& opts, std::ostream& out) {
     throw util::InputError("unknown --stats format (use json): " +
                            opts.get("stats", ""));
   }
-  const std::string imaging = opts.get("imaging", "abbe");
-  if (imaging != "abbe" && imaging != "socs") {
-    throw util::InputError("unknown --imaging (use abbe or socs): " +
-                           imaging);
-  }
-  const std::string mrc_action = opts.get("mrc-action", "fail");
-  if (mrc_action != "fail" && mrc_action != "warn") {
-    throw util::InputError("unknown --mrc-action (use fail or warn): " +
-                           mrc_action);
-  }
 
-  // Build the job exactly as cmd_opc --flow flat|cell would, so a daemon
-  // run and a single-process run of the same options share one spec —
-  // and therefore one fingerprint and byte-identical output.
   svc::SubmitMsg msg;
   msg.priority = static_cast<std::int32_t>(opts.get_int("priority", 0));
   msg.flow = flow == "cell" ? 1 : 0;
   msg.in_path = opts.require("in");
   msg.out_path = opts.require("out");
   if (opts.has("cell")) msg.top = opts.require("cell");
-
-  opc::FlowSpec& spec = msg.spec;
-  spec.sim.imaging = imaging == "socs" ? litho::ImagingMode::kSocs
-                                       : litho::ImagingMode::kAbbe;
-  spec.sim.socs_epsilon =
-      opts.get_double("socs-epsilon", spec.sim.socs_epsilon);
-  litho::calibrate_threshold(
-      spec.sim, static_cast<geom::Coord>(opts.get_int("anchor-cd", 180)),
-      static_cast<geom::Coord>(opts.get_int("anchor-pitch", 360)));
-  const layout::Layer in_layer = parse_layer(opts.require("layer"));
-  spec.input_layer = in_layer;
-  spec.output_layer = layout::Layer{
-      in_layer.layer, static_cast<std::uint16_t>(in_layer.datatype + 1)};
-  spec.jobs = static_cast<int>(opts.get_int("jobs", 1));
-  spec.cache = !opts.has("no-cache");
-  apply_engine_options(opts, spec);
-  // The budget rides with the job (it is fingerprint-mixed, so it keys
-  // the daemon's shelf); the library file itself is daemon-owned.
-  spec.library_budget = opts.get_double("library-budget", 0.0);
-  if (!(spec.library_budget >= 0.0)) {
-    throw util::InputError("--library-budget must be >= 0");
-  }
-  if (opts.has("mrc-deck")) {
-    const std::string deck = opts.require("mrc-deck");
-    spec.mrc_deck = deck == "default" ? mrc::mask_deck_180()
-                                      : mrc::read_deck_file(deck);
-    spec.mrc_action =
-        mrc_action == "warn" ? mrc::Action::kWarn : mrc::Action::kFail;
-  }
+  msg.spec = build_flow_spec(opts);
 
   svc::Client client(connect_endpoint(opts));
   const bool show_progress = opts.has("progress");
