@@ -13,6 +13,10 @@
 /// Their constants were recorded before the cell and flat flows moved
 /// onto one tiled driver.
 ///
+/// The last case runs the SOCS flat case's chip and settings under the
+/// Abbe engine, so Abbe flow output is pinned too. Its constant was
+/// recorded before image formation moved onto the band-limited grid.
+///
 /// The constants are tied to the CI toolchain: GCC 12 with the default
 /// x86-64 flags (no -march, no FMA contraction). Another compiler or
 /// target may round differently and legitimately move them. They change
@@ -146,6 +150,8 @@ constexpr std::uint64_t kEscalateCellHash = 0xb2c5d0abffca604dull;
 // Recorded with separate cell and flat flow drivers.
 constexpr std::uint64_t kTwinCellHash = 0x191a34736f757b13ull;
 constexpr std::uint64_t kIsolatedFlatHash = 0x2239690ba13e5089ull;
+// Recorded with every image formed on the full frame grid.
+constexpr std::uint64_t kAbbeFlatHash = 0xb817c0a497cef143ull;
 
 TEST(GoldenOutput, SocsFlatFlowGdsHashAtJobs1And4) {
   FlowSpec spec = base_spec();
@@ -194,6 +200,19 @@ TEST(GoldenOutput, CachedFlatFlowWithIsolatedPlacementsGdsHash) {
   EXPECT_EQ(stats.opc_runs, 1u);
   EXPECT_EQ(stats.cache_hits, 11u);
   EXPECT_EQ(gds_hash(lib), kIsolatedFlatHash)
+      << "hash=0x" << std::hex << gds_hash(lib);
+}
+
+TEST(GoldenOutput, AbbeFlatFlowGdsHash) {
+  FlowSpec spec = base_spec();
+  spec.sim.imaging = litho::ImagingMode::kAbbe;
+  spec.opc.max_iterations = 4;
+  spec.cache = false;
+  spec.jobs = 1;
+  layout::Library lib = flat_chip();
+  const FlowStats stats = run_flat_opc(lib, "top", spec);
+  EXPECT_GT(stats.simulations, 0u);
+  EXPECT_EQ(gds_hash(lib), kAbbeFlatHash)
       << "hash=0x" << std::hex << gds_hash(lib);
 }
 
