@@ -8,6 +8,13 @@
 /// calibrated with (VT / CTR models).
 #pragma once
 
+#include <cstddef>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <tuple>
+#include <vector>
+
 #include "litho/image.h"
 
 namespace opckit::litho {
@@ -22,9 +29,40 @@ struct ResistModel {
   double threshold_at_dose(double dose) const { return threshold / dose; }
 };
 
+/// Process-wide cache of Gaussian transfer functions
+/// exp(-2π²σ²|f|²) over the independent half-spectrum (kx <= nx/2) of
+/// one frame shape — the KernelCache discipline: the first request for
+/// a key builds the table, every later request returns the same
+/// immutable one. Thread-safe; never evicts (a process sees a handful
+/// of frame shapes and diffusion lengths).
+class GaussianTransferCache {
+ public:
+  /// The process-wide instance.
+  static GaussianTransferCache& instance();
+
+  /// The transfer at bin (kx, ky), kx <= nx/2, is
+  /// (*table)[ky * (nx/2 + 1) + kx], for frequencies
+  /// fft_freq(k, n) / pixel_nm. sigma_nm > 0.
+  std::shared_ptr<const std::vector<double>> get(std::size_t nx,
+                                                 std::size_t ny,
+                                                 double pixel_nm,
+                                                 double sigma_nm);
+
+  std::size_t size() const;
+  /// Drop all entries (test hook).
+  void clear();
+
+ private:
+  using Key = std::tuple<std::size_t, std::size_t, double, double>;
+
+  mutable std::mutex mutex_;
+  std::map<Key, std::shared_ptr<const std::vector<double>>> tables_;
+};
+
 /// Gaussian blur with standard deviation \p sigma_nm, computed in the
 /// frequency domain (periodic boundaries — consistent with the imaging
-/// engine's guard-band convention). Frame dims must be powers of two.
+/// engine's guard-band convention) with the transfer from
+/// GaussianTransferCache. Frame dims must be powers of two.
 /// sigma_nm == 0 returns the input unchanged.
 Image gaussian_blur(const Image& img, double sigma_nm);
 

@@ -1,7 +1,9 @@
 #include <cmath>
+#include <numbers>
 
 #include <gtest/gtest.h>
 
+#include "litho/fft.h"
 #include "litho/resist.h"
 
 namespace opckit::litho {
@@ -70,6 +72,28 @@ TEST(GaussianBlur, UniformStaysUniform) {
   Image img(frame8(16), 0.7);
   const Image out = gaussian_blur(img, 25.0);
   for (double v : out.values()) EXPECT_NEAR(v, 0.7, 1e-9);
+}
+
+// The transfer is built once per (frame shape, pixel, σ) and holds, at
+// every half-spectrum bin, the bits the per-call exp used to produce.
+TEST(GaussianTransferCache, BuildsOncePerKeyWithTheExactTransfer) {
+  GaussianTransferCache& cache = GaussianTransferCache::instance();
+  cache.clear();
+  const std::size_t nx = 16, ny = 8, hx = nx / 2 + 1;
+  const auto a = cache.get(nx, ny, 8.0, 25.0);
+  EXPECT_EQ(cache.get(nx, ny, 8.0, 25.0), a);
+  EXPECT_NE(cache.get(nx, ny, 8.0, 30.0), a);
+  EXPECT_NE(cache.get(nx, ny, 12.0, 25.0), a);
+  EXPECT_EQ(cache.size(), 3u);
+  ASSERT_EQ(a->size(), hx * ny);
+  const double c = -2.0 * std::numbers::pi * std::numbers::pi * 25.0 * 25.0;
+  for (std::size_t ky = 0; ky < ny; ++ky) {
+    const double fy = fft_freq(ky, ny) / 8.0;
+    for (std::size_t kx = 0; kx < hx; ++kx) {
+      const double fx = fft_freq(kx, nx) / 8.0;
+      EXPECT_EQ((*a)[ky * hx + kx], std::exp(c * (fx * fx + fy * fy)));
+    }
+  }
 }
 
 TEST(LatentImage, AppliesDiffusion) {
