@@ -526,26 +526,60 @@ void Fft2d::inverse(std::vector<Complex>& data) const {
   for (auto& v : data) v *= inv;
 }
 
+void Fft2d::r2c_rows(
+    const std::function<const double*(std::size_t, std::size_t)>& block,
+    std::size_t cols, Complex* dst, std::size_t dst_stride) const {
+  const std::size_t hx = nx_ / 2 + 1;
+  std::vector<double> re(hx * kLanes), im(hx * kLanes);
+  for (std::size_t y0 = 0; y0 < ny_; y0 += kLanes) {
+    const std::size_t b = std::min(kLanes, ny_ - y0);
+    row_->forward_real_lanes(block(y0, b), nx_, b, re.data(), im.data());
+    for (std::size_t l = 0; l < b; ++l) {
+      Complex* row = dst + (y0 + l) * dst_stride;
+      for (std::size_t kx = 0; kx < cols; ++kx) {
+        row[kx] = Complex(re[kx * kLanes + l], im[kx * kLanes + l]);
+      }
+    }
+  }
+}
+
+void Fft2d::c2r_rows(const Complex* src, std::size_t stride, std::size_t cols,
+                     std::vector<double>& out) const {
+  out.resize(nx_ * ny_);
+  const std::size_t hx = nx_ / 2 + 1;
+  // The lane row c2r consumes its buffers, so bins past `cols` (and
+  // the lanes of a partial block) are zeroed again for every block.
+  std::vector<double> re(hx * kLanes, 0.0), im(hx * kLanes, 0.0);
+  for (std::size_t y0 = 0; y0 < ny_; y0 += kLanes) {
+    const std::size_t b = std::min(kLanes, ny_ - y0);
+    if (b < kLanes || cols < hx) {
+      std::fill(re.begin(), re.end(), 0.0);
+      std::fill(im.begin(), im.end(), 0.0);
+    }
+    for (std::size_t l = 0; l < b; ++l) {
+      const Complex* row = src + (y0 + l) * stride;
+      for (std::size_t kx = 0; kx < cols; ++kx) {
+        re[kx * kLanes + l] = row[kx].real();
+        im[kx * kLanes + l] = row[kx].imag();
+      }
+    }
+    row_->inverse_real_lanes(re.data(), im.data(), out.data() + y0 * nx_,
+                             nx_, b);
+  }
+  const double inv = 1.0 / static_cast<double>(nx_ * ny_);
+  for (auto& v : out) v *= inv;
+}
+
 void Fft2d::forward_real(std::span<const double> in,
                          std::vector<Complex>& out) const {
   OPCKIT_CHECK(in.size() == nx_ * ny_);
   trace::metrics().counter(trace::metric::kLithoFftR2cTransforms).add();
   out.resize(nx_ * ny_);
   const std::size_t hx = nx_ / 2 + 1;
-  // r2c rows, kLanes at a time, land in the kx <= nx/2 half of `out`;
-  // the column pass runs there in place.
-  std::vector<double> re(hx * kLanes), im(hx * kLanes);
-  for (std::size_t y0 = 0; y0 < ny_; y0 += kLanes) {
-    const std::size_t b = std::min(kLanes, ny_ - y0);
-    row_->forward_real_lanes(in.data() + y0 * nx_, nx_, b, re.data(),
-                             im.data());
-    for (std::size_t l = 0; l < b; ++l) {
-      Complex* dst = out.data() + (y0 + l) * nx_;
-      for (std::size_t kx = 0; kx < hx; ++kx) {
-        dst[kx] = Complex(re[kx * kLanes + l], im[kx * kLanes + l]);
-      }
-    }
-  }
+  // r2c rows land in the kx <= nx/2 half of `out`; the column pass runs
+  // there in place.
+  r2c_rows([&](std::size_t y0, std::size_t) { return in.data() + y0 * nx_; },
+           hx, out.data(), nx_);
   column_pass(out.data(), nx_, out.data(), nx_, hx, FftDirection::kForward);
   // Fill the rest from the 2-D Hermitian symmetry
   // F[nx-kx, ny-ky] = conj(F[kx, ky]); every source bin is in the
@@ -559,33 +593,57 @@ void Fft2d::forward_real(std::span<const double> in,
   }
 }
 
+void Fft2d::forward_real_columns(std::span<const double> in, std::size_t cols,
+                                 std::vector<Complex>& out) const {
+  OPCKIT_CHECK(in.size() == nx_ * ny_);
+  forward_real_columns(
+      [&](std::size_t y, double* row) {
+        std::copy_n(in.data() + y * nx_, nx_, row);
+      },
+      cols, out);
+}
+
+void Fft2d::forward_real_columns(const RowSource& rows, std::size_t cols,
+                                 std::vector<Complex>& out) const {
+  OPCKIT_CHECK_MSG(cols >= 1 && cols <= nx_ / 2 + 1,
+                   "r2c column bound " << cols << " out of range for nx="
+                                       << nx_);
+  trace::metrics().counter(trace::metric::kLithoFftR2cTransforms).add();
+  out.resize(cols * ny_);
+  std::vector<double> strip(kLanes * nx_);
+  r2c_rows(
+      [&](std::size_t y0, std::size_t b) {
+        for (std::size_t l = 0; l < b; ++l) {
+          rows(y0 + l, strip.data() + l * nx_);
+        }
+        return strip.data();
+      },
+      cols, out.data(), cols);
+  column_pass(out.data(), cols, out.data(), cols, cols,
+              FftDirection::kForward);
+}
+
 void Fft2d::inverse_real(std::span<const Complex> in,
                          std::vector<double>& out) const {
   OPCKIT_CHECK(in.size() == nx_ * ny_);
   trace::metrics().counter(trace::metric::kLithoFftC2rTransforms).add();
-  out.resize(nx_ * ny_);
   const std::size_t hx = nx_ / 2 + 1;
   std::vector<Complex> half(hx * ny_);
   column_pass(in.data(), nx_, half.data(), hx, hx, FftDirection::kInverse);
-  std::vector<double> re(hx * kLanes, 0.0), im(hx * kLanes, 0.0);
-  for (std::size_t y0 = 0; y0 < ny_; y0 += kLanes) {
-    const std::size_t b = std::min(kLanes, ny_ - y0);
-    if (b < kLanes) {
-      std::fill(re.begin(), re.end(), 0.0);
-      std::fill(im.begin(), im.end(), 0.0);
-    }
-    for (std::size_t l = 0; l < b; ++l) {
-      const Complex* src = half.data() + (y0 + l) * hx;
-      for (std::size_t kx = 0; kx < hx; ++kx) {
-        re[kx * kLanes + l] = src[kx].real();
-        im[kx * kLanes + l] = src[kx].imag();
-      }
-    }
-    row_->inverse_real_lanes(re.data(), im.data(), out.data() + y0 * nx_,
-                             nx_, b);
-  }
-  const double inv = 1.0 / static_cast<double>(nx_ * ny_);
-  for (auto& v : out) v *= inv;
+  c2r_rows(half.data(), hx, hx, out);
+}
+
+void Fft2d::inverse_real_columns(std::span<Complex> in, std::size_t cols,
+                                 std::vector<double>& out) const {
+  OPCKIT_CHECK_MSG(cols >= 1 && cols <= nx_ / 2 + 1,
+                   "c2r column bound " << cols << " out of range for nx="
+                                       << nx_);
+  OPCKIT_CHECK(in.size() == cols * ny_);
+  trace::metrics().counter(trace::metric::kLithoFftC2rTransforms).add();
+  // The columns past the bound are zero, and so is their transform:
+  // skipping them is exact.
+  column_pass(in.data(), cols, in.data(), cols, cols, FftDirection::kInverse);
+  c2r_rows(in.data(), cols, cols, out);
 }
 
 SparseInverseBatch::SparseInverseBatch(
@@ -620,9 +678,19 @@ SparseInverseBatch::SparseInverseBatch(
   }
 }
 
-void SparseInverseBatch::run(const Complex* spectrum,
+std::vector<Complex> SparseInverseBatch::gather(
+    const Complex* spectrum) const {
+  std::vector<Complex> values(support_.size());
+  for (std::size_t j = 0; j < support_.size(); ++j) {
+    values[j] = spectrum[support_[j]];
+  }
+  return values;
+}
+
+void SparseInverseBatch::run(std::span<const Complex> values,
                              std::span<const Member> members,
                              const Epilogue& epilogue) const {
+  OPCKIT_CHECK(values.size() == support_.size());
   for (const Member& m : members) {
     OPCKIT_CHECK(m.factors.size() == support_.size());
   }
@@ -642,7 +710,7 @@ void SparseInverseBatch::run(const Complex* spectrum,
     double* im = rows_im.data() + m * member_size;
     const std::span<const Complex> factors = members[m].factors;
     for (std::size_t j = 0; j < support_.size(); ++j) {
-      const Complex v = spectrum[support_[j]] * factors[j];
+      const Complex v = values[j] * factors[j];
       re[row_lane_[j]] = v.real();
       im[row_lane_[j]] = v.imag();
     }
@@ -688,6 +756,12 @@ void SparseInverseBatch::run(const Complex* spectrum,
 void SparseInverseBatch::accumulate_intensity(const Complex* spectrum,
                                               std::span<const Member> members,
                                               std::span<double> acc) const {
+  accumulate_intensity(gather(spectrum), members, acc);
+}
+
+void SparseInverseBatch::accumulate_intensity(std::span<const Complex> values,
+                                              std::span<const Member> members,
+                                              std::span<double> acc) const {
   const std::size_t nx = plan_.nx();
   const std::size_t ny = plan_.ny();
   OPCKIT_CHECK(acc.size() == nx * ny);
@@ -702,7 +776,7 @@ void SparseInverseBatch::accumulate_intensity(const Complex* spectrum,
   // order — the complex image and the member's intensity are never
   // stored.
   const double inv = 1.0 / static_cast<double>(nx * ny);
-  run(spectrum, members,
+  run(values, members,
       [&](std::size_t m, std::size_t x0, std::size_t b, const double* re,
           const double* im) {
         const double w = members[m].weight;
@@ -739,7 +813,7 @@ void SparseInverseBatch::inverse_field(const Complex* spectrum,
   // instead of fusing |·|².
   const double inv = 1.0 / static_cast<double>(nx * ny);
   const Member one{factors, 1.0};
-  run(spectrum, std::span<const Member>(&one, 1),
+  run(gather(spectrum), std::span<const Member>(&one, 1),
       [&](std::size_t, std::size_t x0, std::size_t b, const double* re,
           const double* im) {
         for (std::size_t y = 0; y < ny; ++y) {

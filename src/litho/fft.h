@@ -27,7 +27,13 @@
 ///     mask-spectrum forward), computes columns only for kx <= nx/2,
 ///     and mirrors the remaining half. Numerically equivalent to the
 ///     complex path within ~1e-15 relative (the parity suite pins
-///     1e-12), not bit-identical.
+///     1e-12), not bit-identical. The column-bounded variants
+///     (`forward_real_columns`/`inverse_real_columns`) run the column
+///     pass over the first `cols` columns only and hold the spectrum as
+///     a packed cols × ny block, for band-limited images (band.h): the
+///     bounded r2c computes exactly forward_real's bins there and fills
+///     no mirror, and the bounded c2r is inverse_real of a spectrum
+///     that is zero past the bound, both bit for bit.
 ///  3. Batched sparse inverse (`SparseInverseBatch`) — the SOCS/Abbe
 ///     hot loop Σ w·|IFFT(spectrum·filter)|² transforms fields that
 ///     are nonzero only on the pupil support, a small disk of
@@ -41,7 +47,8 @@
 ///     The fused result is bit-identical to
 ///     transform-then-normalize-then-|·|² of the pre-plan engine
 ///     followed by an ascending weighted sum (same operations, same
-///     order, zero rows dropped exactly).
+///     order, zero rows dropped exactly). The imaging engines run it on
+///     their band's M grid, with the spectrum given at the support.
 ///
 /// Every 2-D pass above runs on the lane kernel
 /// (`FftPlan::transform_lanes`): kLanes = 8 vectors transformed in
@@ -269,8 +276,7 @@ class Fft2d {
   ///    every row (full row stride). A caller that filters the spectrum
   ///    between forward_real and inverse_real therefore only needs to
   ///    touch bins with kx <= nx/2 — the mirror half may go STALE
-  ///    (hold pre-filter values) without affecting the result. The
-  ///    resist gaussian_blur transfer multiply relies on exactly this.
+  ///    (hold pre-filter values) without affecting the result.
   ///  - any consumer that reads the full layout (dense complex
   ///    inverses, kernel-support gathers at kx > nx/2) must either
   ///    apply its filter to both halves or re-mirror after filtering:
@@ -290,6 +296,32 @@ class Fft2d {
   void inverse_real(std::span<const Complex> in,
                     std::vector<double>& out) const;
 
+  /// Writes row y of a real image, its nx samples, to `row`.
+  using RowSource = std::function<void(std::size_t y, double* row)>;
+
+  /// Column-bounded r2c: the first \p cols columns of forward_real's
+  /// spectrum (1 <= cols <= nx/2+1), as a packed cols × ny block — bin
+  /// (kx, ky) at out[ky * cols + kx], bit-identical to forward_real's.
+  /// Every row still runs its r2c, but the column pass runs over \p cols
+  /// columns only and no mirror bin is filled: a band-limited consumer
+  /// reads bins with kx < 0 through the Hermitian mirror
+  /// F[-kx, -ky] = conj(F[kx, ky]).
+  void forward_real_columns(std::span<const double> in, std::size_t cols,
+                            std::vector<Complex>& out) const;
+  /// The same, over the image whose rows \p rows writes: a caller that
+  /// maps its samples (mask coverage to transmission) does so row by
+  /// row instead of through a frame-sized copy.
+  void forward_real_columns(const RowSource& rows, std::size_t cols,
+                            std::vector<Complex>& out) const;
+
+  /// Column-bounded c2r: inverse_real of a Hermitian spectrum that is
+  /// zero at every kx >= cols (1 <= cols <= nx/2+1), given as its packed
+  /// cols × ny block (bin (kx, ky) at in[ky * cols + kx]; consumed as
+  /// scratch). The column pass runs over \p cols columns only; the
+  /// result is bit-identical to inverse_real of the full layout.
+  void inverse_real_columns(std::span<Complex> in, std::size_t cols,
+                            std::vector<double>& out) const;
+
  private:
   /// Lane row pass: complex transform of every row of the row-major
   /// nx-wide \p data, in place.
@@ -300,6 +332,17 @@ class Fft2d {
   void column_pass(const Complex* src, std::size_t src_stride, Complex* dst,
                    std::size_t dst_stride, std::size_t cols,
                    FftDirection dir) const;
+  /// Row r2c of every row, kLanes rows at a time: \p block(y0, b)
+  /// returns rows y0 .. y0+b-1 as b contiguous nx-sample rows; bins
+  /// [0, cols) of row y land at dst + y * dst_stride.
+  void r2c_rows(const std::function<const double*(std::size_t, std::size_t)>&
+                    block,
+                std::size_t cols, Complex* dst, std::size_t dst_stride) const;
+  /// Row c2r of every row: bins [0, cols) of row y at src + y * stride,
+  /// the rest of the nx/2+1 zero; out gets the 1/(nx*ny)-normalized
+  /// real image.
+  void c2r_rows(const Complex* src, std::size_t stride, std::size_t cols,
+                std::vector<double>& out) const;
 
   std::size_t nx_, ny_;
   std::shared_ptr<const FftPlan> row_;  ///< kReal (serves complex + r2c)
@@ -363,6 +406,11 @@ class SparseInverseBatch {
   void accumulate_intensity(const Complex* spectrum,
                             std::span<const Member> members,
                             std::span<double> acc) const;
+  /// The same sum over a spectrum given at the support only:
+  /// \p values[j] is the spectrum at support[j].
+  void accumulate_intensity(std::span<const Complex> values,
+                            std::span<const Member> members,
+                            std::span<double> acc) const;
 
   /// Compute out[i] = |IFFT(field)(i)|² over the full frame, where
   /// field[support[j]] = spectrum[support[j]] * factors[j] and zero
@@ -390,10 +438,14 @@ class SparseInverseBatch {
   using Epilogue = std::function<void(std::size_t, std::size_t, std::size_t,
                                       const double*, const double*)>;
 
+  /// The spectrum at each support bin, in support order.
+  std::vector<Complex> gather(const Complex* spectrum) const;
+
   /// Row pass of every member into lane row buffers, then the column
   /// pass block by block, handing each member's transformed block to
-  /// \p epilogue in ascending member order.
-  void run(const Complex* spectrum, std::span<const Member> members,
+  /// \p epilogue in ascending member order. \p values[j] is the
+  /// spectrum at support bin j.
+  void run(std::span<const Complex> values, std::span<const Member> members,
            const Epilogue& epilogue) const;
 
   Fft2d plan_;

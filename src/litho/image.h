@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "geometry/point.h"
@@ -56,6 +57,12 @@ class Image {
       : frame_(frame),
         values_(frame.nx * frame.ny, fill) {
     OPCKIT_CHECK(frame.nx > 0 && frame.ny > 0 && frame.pixel_nm > 0);
+  }
+  /// An image over \p frame holding \p values (nx*ny, row-major).
+  Image(const Frame& frame, std::vector<double> values)
+      : frame_(frame), values_(std::move(values)) {
+    OPCKIT_CHECK(frame.nx > 0 && frame.ny > 0 && frame.pixel_nm > 0);
+    OPCKIT_CHECK(values_.size() == frame.nx * frame.ny);
   }
 
   const Frame& frame() const { return frame_; }

@@ -2,6 +2,7 @@
 /// Umbrella header for the opckit lithography simulation engine.
 #pragma once
 
+#include "litho/band.h"       // IWYU pragma: export
 #include "litho/fft.h"        // IWYU pragma: export
 #include "litho/image.h"      // IWYU pragma: export
 #include "litho/metrology.h"  // IWYU pragma: export

@@ -51,15 +51,23 @@ Simulator::Simulator(const SimSpec& spec, const geom::Rect& window)
   }
 }
 
-Image Simulator::aerial(const geom::Region& mask, double defocus_nm) const {
+Image Simulator::image(const geom::Region& mask, double defocus_nm,
+                       double diffusion_nm) const {
   trace::metrics().counter(trace::metric::kLithoAerialImages).add();
   const Image coverage = rasterize(mask, frame_);
-  if (socs_) return socs_->aerial_image(coverage, defocus_nm, spec_.mask);
-  return imager_.aerial_image(coverage, defocus_nm, spec_.mask);
+  if (socs_) {
+    return socs_->latent_image(coverage, diffusion_nm, defocus_nm,
+                               spec_.mask);
+  }
+  return imager_.latent_image(coverage, diffusion_nm, defocus_nm, spec_.mask);
+}
+
+Image Simulator::aerial(const geom::Region& mask, double defocus_nm) const {
+  return image(mask, defocus_nm, 0.0);
 }
 
 Image Simulator::latent(const geom::Region& mask, double defocus_nm) const {
-  return latent_image(aerial(mask, defocus_nm), spec_.resist);
+  return image(mask, defocus_nm, spec_.resist.diffusion_nm);
 }
 
 Image Simulator::latent(std::span<const geom::Polygon> mask,

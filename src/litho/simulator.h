@@ -9,16 +9,19 @@
 /// region of interest.
 ///
 /// Thread safety: a constructed Simulator is immutable through its const
-/// interface — aerial/latent/printed touch no mutable or static state, so
-/// distinct threads may share one instance or build their own (the tiled
-/// flow driver in core/flow.cpp runs one run_model_opc per worker, each
-/// constructing its own Simulator). set_threshold is the one mutator;
-/// calibrate before sharing. The per-source (Abbe) and per-kernel
-/// (SOCS) loops inside aerial() use util::global_pool() and run inline
-/// when the caller is itself a pool worker (see thread_pool.h), with a
-/// fixed-order reduction either way — results are bit-identical at any
-/// thread count. SOCS kernel sets come from the process-wide
-/// KernelCache (internally locked).
+/// interface — aerial/latent/printed touch no mutable or static state
+/// beyond the internally locked process caches, so distinct threads may
+/// share one instance or build their own (the tiled flow driver in
+/// core/flow.cpp runs one run_model_opc per worker, each constructing
+/// its own Simulator). set_threshold is the one mutator; calibrate
+/// before sharing. aerial() and latent() form their image on the
+/// engine's band-limited grid (band.h). The per-source (Abbe) and
+/// per-kernel (SOCS) loops inside them use util::global_pool() and run
+/// inline when the caller is itself a pool worker (see thread_pool.h),
+/// with a fixed-order reduction either way — results are bit-identical
+/// at any thread count. SOCS kernel sets (KernelCache), Abbe pupils
+/// (PupilCache) and Gaussian transfers (GaussianTransferCache) are
+/// built once per key and shared.
 #pragma once
 
 #include <optional>
@@ -78,6 +81,11 @@ class Simulator {
   geom::Region printed(const Image& latent_img, double dose = 1.0) const;
 
  private:
+  /// The engine's image of \p mask blurred by a Gaussian of
+  /// \p diffusion_nm (0: the aerial image).
+  Image image(const geom::Region& mask, double defocus_nm,
+              double diffusion_nm) const;
+
   SimSpec spec_;
   geom::Rect window_;
   Frame frame_;

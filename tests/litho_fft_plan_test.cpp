@@ -752,6 +752,88 @@ TEST(SparseBatchLanes, FusedSumMatchesAscendingPerMemberSum) {
   expect_same_bits(idle, start, "fused sum (no members)");
 }
 
+// ---- column-bounded transforms: the band-limited imaging path's ------
+// r2c and c2r, on non-square frames, with column bounds of 1, of fewer
+// than kLanes (a partial lane block) and of nx/2+1.
+
+std::vector<std::size_t> column_bounds(std::size_t nx) {
+  const std::size_t hx = nx / 2 + 1;
+  std::vector<std::size_t> out = {1};
+  if (hx > 5) out.push_back(5);
+  if (hx > 11) out.push_back(11);
+  out.push_back(hx);
+  return out;
+}
+
+const std::vector<Shape> kBoundedShapes = {
+    {16, 64}, {64, 32}, {256, 8}, {32, 128}, {2, 4}};
+
+TEST(Fft2dColumns, BoundedR2cMatchesForwardRealOnEveryComputedBin) {
+  for (const Shape sh : kBoundedShapes) {
+    const Fft2d plan(sh.nx, sh.ny);
+    const std::vector<double> img = random_real(sh.nx * sh.ny, sh.nx + 7);
+    std::vector<Complex> full;
+    plan.forward_real(img, full);
+    for (const std::size_t cols : column_bounds(sh.nx)) {
+      std::vector<Complex> want(cols * sh.ny);
+      for (std::size_t ky = 0; ky < sh.ny; ++ky) {
+        for (std::size_t kx = 0; kx < cols; ++kx) {
+          want[ky * cols + kx] = full[ky * sh.nx + kx];
+        }
+      }
+      std::vector<Complex> got;
+      plan.forward_real_columns(img, cols, got);
+      expect_same_bits(got, want, "forward_real_columns");
+      // The row-source form reads the same samples row by row.
+      std::vector<Complex> rows_got;
+      plan.forward_real_columns(
+          [&](std::size_t y, double* row) {
+            std::copy_n(img.data() + y * sh.nx, sh.nx, row);
+          },
+          cols, rows_got);
+      expect_same_bits(rows_got, want, "forward_real_columns(rows)");
+    }
+  }
+}
+
+TEST(Fft2dColumns, BoundedC2rMatchesInverseRealOnSpectraZeroPastTheBound) {
+  for (const Shape sh : kBoundedShapes) {
+    const Fft2d plan(sh.nx, sh.ny);
+    const std::vector<double> img = random_real(sh.nx * sh.ny, sh.ny + 3);
+    std::vector<Complex> spec;
+    plan.forward_real(img, spec);
+    for (auto& v : spec) v *= Complex(0.75, 0.25);
+    for (const std::size_t cols : column_bounds(sh.nx)) {
+      // Zero past the bound in the independent half inverse_real reads.
+      std::vector<Complex> full = spec;
+      std::vector<Complex> block(cols * sh.ny);
+      for (std::size_t ky = 0; ky < sh.ny; ++ky) {
+        for (std::size_t kx = 0; kx <= sh.nx / 2; ++kx) {
+          if (kx >= cols) full[ky * sh.nx + kx] = Complex{0.0, 0.0};
+        }
+        for (std::size_t kx = 0; kx < cols; ++kx) {
+          block[ky * cols + kx] = full[ky * sh.nx + kx];
+        }
+      }
+      std::vector<double> want, got;
+      plan.inverse_real(full, want);
+      plan.inverse_real_columns(block, cols, got);
+      expect_same_bits(got, want, "inverse_real_columns");
+    }
+  }
+}
+
+TEST(Fft2dColumns, RejectsBoundsOutsideTheHalfSpectrum) {
+  const Fft2d plan(16, 8);
+  const std::vector<double> img(16 * 8, 0.0);
+  std::vector<Complex> spec;
+  EXPECT_THROW(plan.forward_real_columns(img, 0, spec), util::CheckError);
+  EXPECT_THROW(plan.forward_real_columns(img, 10, spec), util::CheckError);
+  std::vector<Complex> block(10 * 8);
+  std::vector<double> out;
+  EXPECT_THROW(plan.inverse_real_columns(block, 10, out), util::CheckError);
+}
+
 TEST(PlanCacheTest, BuildsOncePerKeyAndCountsHits) {
   PlanCache& cache = PlanCache::instance();
   cache.clear();
