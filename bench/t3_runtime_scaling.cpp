@@ -259,11 +259,13 @@ void BM_FlatFlowImaging(benchmark::State& state) {
   state.counters["kernel_hits"] =
       counter(trace::metric::kLithoSocsCacheHits);
   // FFT-engine breakdown: where the solve-phase transforms went.
-  // plan_builds counts first-touch table constructions (amortized to
-  // ~zero by the PlanCache: the hit counter dwarfs it), fft_batched is
-  // the fused sparse inverse+|.|^2 hot path (one per kernel or source
-  // point per simulation), fft_r2c the mask-spectrum forwards, and
-  // rows_pruned the zero frequency rows the sparse batches skipped.
+  // plan_builds counts first-touch table constructions and plan_hits
+  // later PlanCache lookups (both few: the cached kernel and pupil sets
+  // hold their band's plans), fft_batched is the fused sparse
+  // inverse+|.|^2 hot path on the band grid (one per kernel or source
+  // point per simulation), fft_r2c the mask-spectrum and band-intensity
+  // forwards, fft_c2r the frame inverses, and rows_pruned the zero
+  // frequency rows the sparse batches skipped.
   state.counters["plan_builds"] = counter(trace::metric::kLithoFftPlanBuilds);
   state.counters["plan_hits"] = counter(trace::metric::kLithoFftPlanHits);
   state.counters["plan_build_ms"] =
