@@ -121,6 +121,10 @@ job_tsan() {
   # concurrency machinery — keep them in the TSan matrix explicitly.
   (cd build-ci-tsan && \
    ctest "${CTEST_ARGS[@]}" --no-tests=error -L socs)
+  # `metrology` label: the metrology/optics edge-case regressions, which
+  # ran here under the `socs` label while they shared its executable.
+  (cd build-ci-tsan && \
+   ctest "${CTEST_ARGS[@]}" --no-tests=error -L metrology)
   # `mrc` label: the MrcFlowGate suite drives the parallel signoff phase
   # at jobs=8 — the per-tile check_polygons calls run on pool workers and
   # must stay data-race-free against the serial accounting.
