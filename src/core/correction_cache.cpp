@@ -17,8 +17,6 @@ const char* to_string(CacheOutcome outcome) {
       return "miss";
     case CacheOutcome::kHit:
       return "hit";
-    case CacheOutcome::kSymmetryHit:
-      return "symmetry-hit";
     case CacheOutcome::kConflict:
       return "conflict";
   }
@@ -46,11 +44,11 @@ CorrectionCache::Key CorrectionCache::make_key(
   // Anchor at the window's bbox center: canonicalization orients about
   // the origin, so only a centered window maps onto its own D4 copies
   // (pattern windows are extracted centered for the same reason). Any
-  // rigid anchor would do for translation matching; centering additionally
-  // makes the opt-in symmetry matching effective. The midpoint truncation
-  // is a pure function of the local geometry, so translated copies always
-  // agree on it (odd-sized D4 copies may disagree by 1 nm and miss —
-  // a conservative failure).
+  // rigid anchor would do for translation matching; the center keeps a
+  // D4 copy a miss rather than a conflict, and the canonical frame of
+  // every persisted record hangs off it. The midpoint truncation is a
+  // pure function of the local geometry, so translated copies always
+  // agree on it.
   const Rect b = Region::from_polygons(targets).bbox();
   key.anchor = Point{(b.lo.x + b.hi.x) / 2, (b.lo.y + b.hi.y) / 2};
   const Region local =
@@ -70,7 +68,7 @@ CorrectionCache::Resolution CorrectionCache::resolve(const Key& key) {
   auto bucket = by_hash_.find(key.window.hash);
   if (bucket != by_hash_.end()) {
     bool mismatch = false;
-    std::size_t symmetry_match = SIZE_MAX;
+    bool d4_match = false;
     for (std::size_t idx : bucket->second) {
       const Entry& e = entries_[idx];
       if (e.window_rects != key.window.rects ||
@@ -86,21 +84,18 @@ CorrectionCache::Resolution CorrectionCache::resolve(const Key& key) {
       // (canonicalize_oriented is deterministic on identical local
       // geometry), so an equal witness means translation-exact reuse;
       // a different witness means the windows differ by a genuine D4
-      // frame change, which only the symmetry policy may accept — and
-      // even then an exact hit later in the bucket is preferred.
+      // frame change, which is never replayed — an exact hit later in
+      // the bucket is still taken.
       if (key.orientation == e.orientation) {
         ++stats_.hits;
         trace::metrics().counter(trace::metric::kCacheHits).add();
         return {CacheOutcome::kHit, idx};
       }
-      if (symmetry_match == SIZE_MAX) symmetry_match = idx;
+      d4_match = true;
     }
-    if (policy_.allow_symmetry && symmetry_match != SIZE_MAX) {
-      ++stats_.symmetry_hits;
-      trace::metrics().counter(trace::metric::kCacheSymmetryHits).add();
-      return {CacheOutcome::kSymmetryHit, symmetry_match};
-    }
-    if (mismatch && symmetry_match == SIZE_MAX) {
+    // A D4-only match is a miss, not a conflict: the geometry is this
+    // class's, seen through another frame.
+    if (mismatch && !d4_match) {
       ++stats_.conflicts;
       trace::metrics().counter(trace::metric::kCacheConflicts).add();
       return {CacheOutcome::kConflict, reserve(key)};

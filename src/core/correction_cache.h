@@ -19,16 +19,14 @@
 ///    up to pure translation. The replayed solution is byte-identical to a
 ///    fresh solve: integer-nm translation shifts the raster frame without
 ///    changing any sampled value (all arithmetic stays exact in doubles).
-///  * **symmetry hit** (opt-in, `Policy::allow_symmetry`) — identical up
-///    to a non-trivial D4 element. Physically exact only for rotationally
-///    symmetric illumination (circular/annular, not dipole), and the FFT's
-///    summation order differs between frames, so replay may differ from a
-///    fresh solve by float round-off below the mask grid. Off by default.
 ///  * **conflict** — the canonical hash matches a stored entry but the
 ///    geometry differs (hash collision), or the optical window matches
 ///    while the target/context ownership split does not. Counted, then
 ///    solved fresh: correctness is never traded for a hit.
-///  * **miss** — no entry with this canonical hash; solved fresh and
+///  * **miss** — no entry with this canonical hash, or only entries that
+///    match through a non-trivial D4 frame change (a rotated or mirrored
+///    window: replay through it is exact only up to float round-off, and
+///    only for rotationally symmetric illumination); solved fresh and
 ///    stored.
 ///
 /// Threading contract: the cache is NOT internally synchronized. The flow
@@ -49,33 +47,23 @@
 namespace opckit::opc {
 
 /// How one window resolved against the cache.
-enum class CacheOutcome { kMiss, kHit, kSymmetryHit, kConflict };
+enum class CacheOutcome { kMiss, kHit, kConflict };
 
-/// Printable name ("miss", "hit", "symmetry-hit", "conflict").
+/// Printable name ("miss", "hit", "conflict").
 const char* to_string(CacheOutcome outcome);
 
 /// Lookup accounting (one increment per resolve()).
 struct CorrectionCacheStats {
-  std::size_t hits = 0;           ///< translation-exact reuses
-  std::size_t symmetry_hits = 0;  ///< D4 reuses (only when allowed)
-  std::size_t misses = 0;         ///< first sighting of a window class
-  std::size_t conflicts = 0;      ///< collisions / ownership mismatches
+  std::size_t hits = 0;       ///< translation-exact reuses
+  std::size_t misses = 0;     ///< first sighting of a window class
+  std::size_t conflicts = 0;  ///< collisions / ownership mismatches
 
-  std::size_t total() const {
-    return hits + symmetry_hits + misses + conflicts;
-  }
+  std::size_t total() const { return hits + misses + conflicts; }
 };
 
 /// A cache of solved correction windows keyed by canonical geometry.
 class CorrectionCache {
  public:
-  /// Reuse policy knobs.
-  struct Policy {
-    /// Allow reuse across non-trivial D4 frame changes. Leave off for
-    /// byte-exact replay or under orientation-selective (dipole) sources.
-    bool allow_symmetry = false;
-  };
-
   /// The cache identity of one correction window. Built once per tile in
   /// the parallel gather phase (make_key is pure and thread-safe).
   struct Key {
@@ -86,9 +74,6 @@ class CorrectionCache {
         geom::Orientation::kR0;
     geom::Point anchor;  ///< local-frame origin: window bbox center (layout coords)
   };
-
-  CorrectionCache() = default;
-  explicit CorrectionCache(Policy policy) : policy_(policy) {}
 
   /// Build the key for a window: \p targets is the full simulation input
   /// (own shapes + optical context) in layout coordinates, \p own_region
@@ -163,7 +148,6 @@ class CorrectionCache {
   /// Append a fresh entry for \p key and return its index.
   std::size_t reserve(const Key& key);
 
-  Policy policy_;
   CorrectionCacheStats stats_;
   std::vector<Entry> entries_;
   /// hash -> entry indices in insertion order (deterministic scan).

@@ -1,7 +1,6 @@
 #include "core/flow.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -201,7 +200,7 @@ class LibrarySession {
     if (!spec.library_path.empty()) {
       lib_.emplace(pat::PatternLibrary::open(
           spec.library_path, flow_fingerprint(spec, flow_kind),
-          spec.store_sync));
+          /*sync_on_append=*/false));
       import_lo_ = cache.size();
       for (std::size_t i = 0; i < lib_->size(); ++i) {
         cache.import_entry(lib_->record(i).tile);
@@ -316,16 +315,15 @@ class PhaseScope {
   std::chrono::steady_clock::time_point t0_;
 };
 
-/// The store side of a flow run: preload on resume, stream fresh solves
-/// from the serial merge phase, and host the fail_after_tiles fault
-/// injection (which works with or without a store — a crash is a crash).
-/// Constructed and used exclusively from the flow's serial sections, so
-/// the TSan contract of the phases is untouched.
+/// The store side of a flow run: preload on resume and stream fresh
+/// solves from the serial merge phase. Constructed and used exclusively
+/// from the flow's serial sections, so the TSan contract of the phases
+/// is untouched.
 class StoreSession {
  public:
   StoreSession(const FlowSpec& spec, std::string_view flow_kind,
                CorrectionCache& cache, FlowStats& stats)
-      : fail_after_(spec.fail_after_tiles), sink_(spec.record_sink) {
+      : sink_(spec.record_sink) {
     // In-memory preload (the daemon's shared library) imports first, so
     // its entries win representative selection over file records — both
     // replay translation-exactly, so the choice cannot change output.
@@ -355,11 +353,10 @@ class StoreSession {
         }
         stats.store_entries_loaded += loaded.records.size();
         stats.store_tail_recovered = loaded.tail_recovered;
-        store_.emplace(store::ResultStore::append_to(
-            spec.store_path, loaded.valid_bytes, spec.store_sync));
-      } else {
         store_.emplace(
-            store::ResultStore::create(spec.store_path, fp, spec.store_sync));
+            store::ResultStore::append_to(spec.store_path, loaded.valid_bytes));
+      } else {
+        store_.emplace(store::ResultStore::create(spec.store_path, fp));
       }
     }
     preloaded_ = cache.size();
@@ -370,8 +367,7 @@ class StoreSession {
   std::size_t preloaded() const { return preloaded_; }
 
   /// Serial merge phase, once per merged tile: persist a fresh solve,
-  /// hand it to the record sink, account a store replay, and fire the
-  /// fault injection.
+  /// hand it to the record sink, and account a store replay.
   void on_tile_merged(const CorrectionCache& cache, bool replay,
                       std::size_t entry, FlowStats& stats) {
     if (replay) {
@@ -386,18 +382,11 @@ class StoreSession {
       }
       if (sink_) sink_(rec);
     }
-    ++merged_;
-    if (fail_after_ >= 0 && merged_ >= static_cast<std::size_t>(fail_after_)) {
-      throw FlowAborted("flow aborted by FlowSpec::fail_after_tiles after " +
-                        std::to_string(merged_) + " merged tiles");
-    }
   }
 
  private:
   std::optional<store::ResultStore> store_;
   std::size_t preloaded_ = 0;
-  std::size_t merged_ = 0;
-  int fail_after_;
   const std::function<void(const store::TileRecord&)>& sink_;
 };
 
@@ -606,7 +595,7 @@ FlowStats run_tiled(Library& lib, const FlowSpec& spec,
   FlowStats stats;
   std::vector<WorkUnit> units = flow.enumerate();
 
-  CorrectionCache cache({spec.cache_symmetry});
+  CorrectionCache cache;
   StoreSession store(spec, flow.kind, cache, stats);
   // After StoreSession: store/preload entries precede library imports in
   // every resolve bucket, so store_hits keep their pre-library meaning.
@@ -674,8 +663,7 @@ FlowStats run_tiled(Library& lib, const FlowSpec& spec,
       if (spec.cache) {
         for (TileWork& t : tiles) {
           t.res = cache.resolve(t.key);
-          t.replay = t.res.outcome == CacheOutcome::kHit ||
-                     t.res.outcome == CacheOutcome::kSymmetryHit;
+          t.replay = t.res.outcome == CacheOutcome::kHit;
           library.on_resolved(t, stats);
         }
       }
@@ -784,7 +772,7 @@ FlowStats run_tiled(Library& lib, const FlowSpec& spec,
   }
 
   const CorrectionCacheStats& cs = cache.stats();
-  stats.cache_hits = cs.hits + cs.symmetry_hits;
+  stats.cache_hits = cs.hits;
   stats.cache_misses = cs.misses;
   stats.cache_conflicts = cs.conflicts;
 
@@ -819,100 +807,6 @@ FlowStats run_tiled(Library& lib, const FlowSpec& spec,
 }
 
 }  // namespace
-
-std::uint64_t flow_fingerprint(const FlowSpec& spec,
-                               std::string_view flow_kind) {
-  // FNV-1a over the byte stream of every output-affecting knob. Field
-  // order is append-only: new knobs go at the END so adding one changes
-  // the fingerprint for non-default values only by design review, not
-  // accident.
-  std::uint64_t h = 14695981039346656037ULL;
-  auto mix_u64 = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  };
-  auto mix_d = [&](double v) { mix_u64(std::bit_cast<std::uint64_t>(v)); };
-  auto mix_i = [&](std::int64_t v) {
-    mix_u64(static_cast<std::uint64_t>(v));
-  };
-  for (char c : flow_kind) mix_u64(static_cast<std::uint8_t>(c));
-
-  const ModelOpcSpec& o = spec.opc;
-  mix_i(o.fragmentation.target_length);
-  mix_i(o.fragmentation.corner_length);
-  mix_i(o.fragmentation.min_length);
-  mix_i(o.fragmentation.line_end_max);
-  mix_i(o.max_iterations);
-  mix_d(o.gain);
-  mix_i(o.max_move_per_iter);
-  mix_i(o.max_total_offset);
-  mix_d(o.epe_tolerance_nm);
-  mix_d(o.probe_range_nm);
-  mix_i(o.grid_nm);
-  mix_i(o.min_mask_space_nm);
-  mix_i(o.min_tip_gap_nm);
-  mix_d(o.corner_gain_scale);
-  mix_i(o.corner_max_offset);
-
-  const litho::SimSpec& s = spec.sim;
-  mix_d(s.optics.wavelength_nm);
-  mix_d(s.optics.na);
-  mix_i(static_cast<std::int64_t>(s.optics.source.shape));
-  mix_d(s.optics.source.sigma_outer);
-  mix_d(s.optics.source.sigma_inner);
-  mix_d(s.optics.source.pole_center);
-  mix_d(s.optics.source.pole_radius);
-  mix_i(s.optics.source.grid);
-  mix_d(s.optics.aberrations.coma_x_nm);
-  mix_d(s.optics.aberrations.coma_y_nm);
-  mix_d(s.optics.aberrations.astig_nm);
-  mix_i(static_cast<std::int64_t>(s.mask.type));
-  mix_d(s.mask.background_transmission);
-  mix_d(s.resist.threshold);
-  mix_d(s.resist.diffusion_nm);
-  mix_d(s.pixel_nm);
-  mix_i(s.guard_nm);
-
-  mix_i(spec.halo_nm);
-  mix_i(spec.input_layer.layer);
-  mix_i(spec.input_layer.datatype);
-  mix_i(spec.output_layer.layer);
-  mix_i(spec.output_layer.datatype);
-  mix_i(spec.flat_context_passes);
-  mix_u64(spec.cache_symmetry ? 1 : 0);
-  // Imaging engine selection and its truncation ε change the aerial
-  // intensities, hence the corrected output (appended fields; abbe with
-  // default ε hashes differently from pre-SOCS builds by design).
-  mix_i(static_cast<std::int64_t>(s.imaging));
-  mix_d(s.socs_epsilon);
-  // Pattern-library warm starts move the solver's initial offsets, hence
-  // the corrected mask (within tolerance): the library identity and the
-  // near-match budget are output-affecting (appended fields; stores from
-  // pre-library builds hash differently by design).
-  mix_u64(spec.library_path.size());
-  for (char c : spec.library_path) mix_u64(static_cast<std::uint8_t>(c));
-  mix_d(spec.library_budget);
-  // The correction engine and the pixel-ILT knobs select and shape the
-  // solver, so they rewrite the output mask wholesale (appended fields;
-  // stores from pre-ILT builds hash differently by design).
-  mix_i(static_cast<std::int64_t>(spec.engine));
-  mix_d(spec.ilt_escalation_epe_nm);
-  const ilt::IltSpec& il = spec.ilt;
-  mix_i(il.max_iterations);
-  mix_d(il.step);
-  mix_d(il.sigmoid_steepness);
-  mix_d(il.edge_weight);
-  mix_d(il.edge_band_nm);
-  mix_d(il.convergence_tol);
-  mix_d(il.mask_threshold);
-  mix_i(il.min_width_nm);
-  mix_i(il.min_space_nm);
-  mix_i(il.min_corner_nm);
-  mix_d(il.min_area_nm2);
-  return h;
-}
 
 std::string render_stats_json(const FlowStats& stats) {
   // Doubles go through util::format_double: the stream's default 6

@@ -126,10 +126,6 @@ struct FlowSpec {
   /// solutions are bit-identical to fresh solves, so this changes
   /// FlowStats (fewer opc_runs/simulations), never the output layer.
   bool cache = true;
-  /// Additionally reuse across D4 rotations/reflections. Off by default:
-  /// replay is then exact only up to float round-off, and only physically
-  /// valid for rotationally symmetric illumination.
-  bool cache_symmetry = false;
   /// Path of the persistent correction store (see store/result_store.h).
   /// Empty (default) = no store. When set, every freshly solved pattern
   /// class is appended (and flushed) from the serial merge phase, so a
@@ -143,11 +139,6 @@ struct FlowSpec {
   /// flow_fingerprint(); a mismatch aborts with an STO001 diagnostic.
   /// If the file does not exist yet it is created (cold start).
   bool resume = false;
-  /// Fault injection for crash-recovery tests: abort the flow (throwing
-  /// FlowAborted) once this many tiles have been merged. Negative
-  /// (default) = off. Test-only; the abort happens after the tile's
-  /// record is flushed to the store, modelling a crash between tiles.
-  int fail_after_tiles = -1;
   /// Post-OPC mask-rule signoff gate (see mrc/mrc.h). Empty (default) =
   /// gate off. When set, after the corrected output is written the
   /// scanline MRC engine sweeps it — per tile, in parallel, reusing the
@@ -170,9 +161,9 @@ struct FlowSpec {
   /// from the serial merge phase, and, when `library_budget` > 0, tiles
   /// that miss the cache retrieve the nearest solved pattern to warm-start
   /// from. The file must carry the current flow_fingerprint(); a mismatch
-  /// aborts. Requires `cache`. Fingerprint-mixed: warm starts move the
-  /// solver's trajectory, so the library identity is an output-affecting
-  /// knob.
+  /// aborts. Requires `cache`. Not fingerprint-mixed: the path names a
+  /// file, not a process setup, so a renamed library still opens (see
+  /// flow_fingerprint()).
   std::string library_path;
   /// Feature-space distance budget for near-match retrieval (see
   /// pat::feature_distance). 0 (default) disables near matching: the
@@ -215,18 +206,14 @@ struct FlowSpec {
   /// Cooperative cancellation: polled at every phase boundary and between
   /// merged tiles, on the driver thread; when it reads true the flow
   /// throws FlowAborted. Tiles already merged are durable under
-  /// store_path (the fail_after_tiles contract), so a cancelled run
-  /// resumes like a crashed one. Null (default) = never cancelled. An
-  /// in-flight parallel phase finishes before the next poll — drain
-  /// granularity is one phase, not one simulation.
+  /// store_path (their records are appended as they merge), so a
+  /// cancelled run resumes like a crashed one. Null (default) = never
+  /// cancelled. An in-flight parallel phase finishes before the next
+  /// poll — drain granularity is one phase, not one simulation.
   const std::atomic<bool>* cancel = nullptr;
   /// Progress events from the driver thread: one at each phase start and
   /// one per merged tile (see FlowProgress). Observability only.
   std::function<void(const FlowProgress&)> progress;
-  /// fsync the store file after every appended record (see
-  /// store::ResultStore sync_on_append) — the daemon's durability mode.
-  /// Off by default: batch flows live with the torn-tail contract.
-  bool store_sync = false;
   /// The daemon's shared pattern library (an immutable clone_memory()
   /// snapshot), used for near-match retrieval only — exact replay of
   /// shared entries travels through `preload`, keeping store_hits
@@ -244,8 +231,9 @@ struct FlowSpec {
   std::function<void(const pat::LibraryRecord&)> library_sink;
 };
 
-/// Thrown by FlowSpec::fail_after_tiles fault injection — a stand-in for
-/// the process dying mid-run. The store file is valid when it propagates.
+/// Thrown when FlowSpec::cancel reads true at a poll — the same exit a
+/// crash between merged tiles would take. The store file is valid when
+/// it propagates.
 class FlowAborted : public std::runtime_error {
  public:
   explicit FlowAborted(const std::string& what)
@@ -346,19 +334,20 @@ class MrcGateError : public std::runtime_error {
 };
 
 /// Fingerprint of everything a stored correction's validity depends on:
-/// the flow kind ("flat"/"cell") plus every FlowSpec knob that reaches
-/// the solver — optical model, resist, mask stack, OPC recipe,
-/// fragmentation, halo, layers, pass count, symmetry policy. Two specs
-/// with equal fingerprints produce interchangeable corrections for the
-/// same geometry; any difference must change the fingerprint so a stale
+/// FNV-1a over the flow kind ("flat"/"cell") and the encoding of every
+/// field core/flow_codec.h's field list marks mixed. Two specs with
+/// equal fingerprints produce interchangeable corrections for the same
+/// geometry; any difference must change the fingerprint so a stale
 /// store is refused (STO001) instead of silently replayed. Job count,
-/// preflight, stats, store knobs, and the MRC signoff deck/action are
-/// deliberately excluded — they cannot change output geometry (signoff
-/// only accepts or rejects the mask it reads). The service hooks
-/// (preload/record_sink/cancel/progress/store_sync/library/library_sink)
-/// are excluded for the same reason. The pattern-library knobs
-/// (library_path, library_budget) ARE mixed: near-match warm starts move
-/// the solver's trajectory, so the corrected mask depends on them.
+/// cache, preflight, the MRC signoff deck/action, the store knobs and
+/// the service hooks are excluded: they cannot change output geometry.
+///
+/// Library identity: library_budget is mixed, because it turns on the
+/// warm starts that move the solver's trajectory; the library is not.
+/// Its path names a file, not a process setup, and its records sit
+/// behind its own header fingerprint — so a renamed library (or one
+/// spelled `./a.ocl`) and every store written with it stay valid. Warm
+/// starts only move the starting point; the convergence test holds.
 std::uint64_t flow_fingerprint(const FlowSpec& spec,
                                std::string_view flow_kind);
 

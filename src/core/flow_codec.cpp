@@ -1,335 +1,159 @@
 #include "core/flow_codec.h"
 
-#include <bit>
 #include <string>
 
+#include "store/record_file.h"
 #include "util/check.h"
 
 namespace opckit::opc {
 namespace {
 
-// Version 2 appends the pattern-library knobs (library_path,
-// library_budget) after the MRC action — both reach flow_fingerprint(),
-// so a spec that crosses the wire must round-trip them.
-// Version 3 appends the correction-engine selection and the pixel-ILT
-// knobs (engine, ilt_escalation_epe_nm, the IltSpec) after the library
-// budget — all fingerprint-mixed, so same rule.
-constexpr std::uint16_t kCodecVersion = 3;
+using store::store_detail::ByteReader;
+using store::store_detail::ByteWriter;
+
+// Version 4: the layout derives from visit_flow_fields().
+constexpr std::uint16_t kCodecVersion = 4;
 /// A deck entry name is a short rule label; anything huge is corruption.
 constexpr std::uint32_t kMaxNameBytes = 4096;
-constexpr std::uint32_t kMaxDeckChecks = 100000;
-
-// ---- little-endian primitives (the store's byte discipline) -----------
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFFu));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
-
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_d(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
 
 [[noreturn]] void malformed(const std::string& what) {
   throw util::InputError("flow spec codec: " + what);
 }
 
-/// Bounds-checked cursor; every accessor throws instead of reading past
-/// the end, so a corrupt length can never drive an out-of-range access.
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::size_t remaining() const { return size_ - pos_; }
-
-  std::uint8_t u8() {
-    need(1, "byte");
-    return data_[pos_++];
+bool in_bound(double v, FieldBound bound) {
+  switch (bound) {
+    case FieldBound::kAny: return true;
+    case FieldBound::kNonNegative: return v >= 0.0;
+    case FieldBound::kPositive: return v > 0.0;
+    case FieldBound::kOpenUnit: return v > 0.0 && v < 1.0;
+    case FieldBound::kJobs: return v >= 0.0 && v <= kMaxJobs;
   }
+  return false;
+}
 
-  std::uint16_t u16() {
-    need(2, "u16");
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-      v = static_cast<std::uint16_t>(
-          v | static_cast<std::uint16_t>(data_[pos_ + static_cast<std::size_t>(
-                                                         i)])
-                  << (8 * i));
-    pos_ += 2;
-    return v;
+// ---- one field on the wire, by C++ type -------------------------------
+
+void put(ByteWriter& w, double v) { w.f64(v); }
+void put(ByteWriter& w, int v) { w.u32(static_cast<std::uint32_t>(v)); }
+void put(ByteWriter& w, geom::Coord v) { w.i64(v); }
+void put(ByteWriter& w, std::uint16_t v) { w.u16(v); }
+void put(ByteWriter& w, bool v) { w.u8(v ? 1 : 0); }
+template <typename E>
+  requires std::is_enum_v<E>
+void put(ByteWriter& w, E v) {
+  w.u8(static_cast<std::uint8_t>(v));
+}
+void put(ByteWriter& w, const mrc::Deck& deck) {
+  w.u32(static_cast<std::uint32_t>(deck.size()));
+  for (const mrc::Check& c : deck) {
+    put(w, c.kind);
+    w.i64(c.value);
+    w.str(c.name);
   }
+}
 
-  std::uint32_t u32() {
-    need(4, "u32");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(
-               data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos_ += 4;
-    return v;
+void get(ByteReader& r, const char*, double& v) { v = r.f64(); }
+void get(ByteReader& r, const char*, int& v) {
+  v = static_cast<std::int32_t>(r.u32());
+}
+void get(ByteReader& r, const char*, geom::Coord& v) { v = r.i64(); }
+void get(ByteReader& r, const char*, std::uint16_t& v) { v = r.u16(); }
+void get(ByteReader& r, const char* name, bool& v) {
+  const std::uint8_t b = r.u8();
+  if (b > 1) malformed(std::string("bad ") + name + " boolean value");
+  v = b == 1;
+}
+template <typename E>
+  requires std::is_enum_v<E>
+void get(ByteReader& r, const char* name, E& v) {
+  const std::uint8_t b = r.u8();
+  if (b >= enum_count(E{}))
+    malformed(std::string("bad ") + name + " enum value");
+  v = static_cast<E>(b);
+}
+void get(ByteReader& r, const char*, mrc::Deck& deck) {
+  const std::uint32_t n = r.u32();
+  if (n > kMaxDeckChecks) malformed("MRC deck count exceeds the limit");
+  // Each check costs at least kind + value + name length = 13 bytes;
+  // pre-check so a corrupt count cannot allocate unboundedly.
+  if (r.remaining() < std::uint64_t{n} * 13) malformed("truncated MRC deck");
+  deck.resize(n);
+  for (mrc::Check& c : deck) {
+    get(r, "mrc_deck.kind", c.kind);
+    c.value = r.i64();
+    c.name = r.str(kMaxNameBytes);
   }
+}
 
-  std::uint64_t u64() {
-    need(8, "u64");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos_ += 8;
-    return v;
+/// Writes the fields of one role, in list order.
+struct SectionWriter {
+  FieldRole section;
+  ByteWriter& w;
+
+  template <FieldRole R, typename T>
+  void operator()(Role<R>, const char*, const T& field, FieldBound) const {
+    if constexpr (R != FieldRole::kLocal) {
+      if (R == section) put(w, field);
+    }
   }
+};
 
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double d() { return std::bit_cast<double>(u64()); }
+/// Reads the fields of one role, in list order, and checks their bounds.
+struct SectionReader {
+  FieldRole section;
+  ByteReader& r;
 
-  int i32() {
-    const std::int64_t v = i64();
-    if (v < INT32_MIN || v > INT32_MAX) malformed("int field out of range");
-    return static_cast<int>(v);
+  template <FieldRole R, typename T>
+  void operator()(Role<R>, const char* name, T& field,
+                  FieldBound bound) const {
+    if constexpr (R != FieldRole::kLocal) {
+      if (R != section) return;
+      get(r, name, field);
+      if constexpr (std::is_arithmetic_v<T>) {
+        if (!in_bound(static_cast<double>(field), bound))
+          malformed(std::string(name) + " out of range");
+      }
+    }
   }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (n > kMaxNameBytes) malformed("string length exceeds the limit");
-    need(n, "string body");
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  /// Range-checked enum decode: values in [0, count) only.
-  template <typename E>
-  E enum8(std::uint8_t count, const char* what) {
-    const std::uint8_t v = u8();
-    if (v >= count) malformed(std::string("bad ") + what + " enum value");
-    return static_cast<E>(v);
-  }
-
-  bool boolean() {
-    const std::uint8_t v = u8();
-    if (v > 1) malformed("bad boolean value");
-    return v == 1;
-  }
-
- private:
-  void need(std::size_t n, const char* what) {
-    if (remaining() < n)
-      malformed(std::string("truncated buffer reading ") + what);
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_flow_spec(const FlowSpec& spec) {
-  std::vector<std::uint8_t> out;
-  put_u16(out, kCodecVersion);
-
-  const ModelOpcSpec& o = spec.opc;
-  put_i64(out, o.fragmentation.target_length);
-  put_i64(out, o.fragmentation.corner_length);
-  put_i64(out, o.fragmentation.min_length);
-  put_i64(out, o.fragmentation.line_end_max);
-  put_i64(out, o.max_iterations);
-  put_d(out, o.gain);
-  put_i64(out, o.max_move_per_iter);
-  put_i64(out, o.max_total_offset);
-  put_d(out, o.epe_tolerance_nm);
-  put_d(out, o.probe_range_nm);
-  put_i64(out, o.grid_nm);
-  put_i64(out, o.min_mask_space_nm);
-  put_i64(out, o.min_tip_gap_nm);
-  put_d(out, o.corner_gain_scale);
-  put_i64(out, o.corner_max_offset);
-
-  const litho::SimSpec& s = spec.sim;
-  put_d(out, s.optics.wavelength_nm);
-  put_d(out, s.optics.na);
-  out.push_back(static_cast<std::uint8_t>(s.optics.source.shape));
-  put_d(out, s.optics.source.sigma_outer);
-  put_d(out, s.optics.source.sigma_inner);
-  put_d(out, s.optics.source.pole_center);
-  put_d(out, s.optics.source.pole_radius);
-  put_i64(out, s.optics.source.grid);
-  put_d(out, s.optics.aberrations.coma_x_nm);
-  put_d(out, s.optics.aberrations.coma_y_nm);
-  put_d(out, s.optics.aberrations.astig_nm);
-  out.push_back(static_cast<std::uint8_t>(s.mask.type));
-  put_d(out, s.mask.background_transmission);
-  put_d(out, s.resist.threshold);
-  put_d(out, s.resist.diffusion_nm);
-  put_d(out, s.pixel_nm);
-  put_i64(out, s.guard_nm);
-  out.push_back(static_cast<std::uint8_t>(s.imaging));
-  put_d(out, s.socs_epsilon);
-
-  put_i64(out, spec.halo_nm);
-  put_u16(out, spec.input_layer.layer);
-  put_u16(out, spec.input_layer.datatype);
-  put_u16(out, spec.output_layer.layer);
-  put_u16(out, spec.output_layer.datatype);
-  put_i64(out, spec.flat_context_passes);
-  out.push_back(spec.preflight ? 1 : 0);
-  put_i64(out, spec.jobs);
-  out.push_back(spec.cache ? 1 : 0);
-  out.push_back(spec.cache_symmetry ? 1 : 0);
-
-  put_u32(out, static_cast<std::uint32_t>(spec.mrc_deck.size()));
-  for (const mrc::Check& c : spec.mrc_deck) {
-    out.push_back(static_cast<std::uint8_t>(c.kind));
-    put_i64(out, c.value);
-    put_u32(out, static_cast<std::uint32_t>(c.name.size()));
-    out.insert(out.end(), c.name.begin(), c.name.end());
-  }
-  out.push_back(static_cast<std::uint8_t>(spec.mrc_action));
-
-  put_u32(out, static_cast<std::uint32_t>(spec.library_path.size()));
-  out.insert(out.end(), spec.library_path.begin(), spec.library_path.end());
-  put_d(out, spec.library_budget);
-
-  out.push_back(static_cast<std::uint8_t>(spec.engine));
-  put_d(out, spec.ilt_escalation_epe_nm);
-  const ilt::IltSpec& il = spec.ilt;
-  put_i64(out, il.max_iterations);
-  put_d(out, il.step);
-  put_d(out, il.sigmoid_steepness);
-  put_d(out, il.edge_weight);
-  put_d(out, il.edge_band_nm);
-  put_d(out, il.convergence_tol);
-  put_d(out, il.mask_threshold);
-  put_i64(out, il.min_width_nm);
-  put_i64(out, il.min_space_nm);
-  put_i64(out, il.min_corner_nm);
-  put_d(out, il.min_area_nm2);
-  return out;
+  ByteWriter w;
+  w.u16(kCodecVersion);
+  visit_flow_fields(spec, SectionWriter{FieldRole::kMixed, w});
+  visit_flow_fields(spec, SectionWriter{FieldRole::kCarried, w});
+  return std::move(w).take();
 }
 
 FlowSpec decode_flow_spec(const std::uint8_t* data, std::size_t size) {
-  Reader r(data, size);
+  ByteReader r({data, size}, malformed);
   const std::uint16_t version = r.u16();
   if (version != kCodecVersion)
     malformed("spec version " + std::to_string(version) +
               "; this build reads version " + std::to_string(kCodecVersion));
-
   FlowSpec spec;
-  ModelOpcSpec& o = spec.opc;
-  o.fragmentation.target_length = r.i64();
-  o.fragmentation.corner_length = r.i64();
-  o.fragmentation.min_length = r.i64();
-  o.fragmentation.line_end_max = r.i64();
-  o.max_iterations = r.i32();
-  o.gain = r.d();
-  o.max_move_per_iter = r.i64();
-  o.max_total_offset = r.i64();
-  o.epe_tolerance_nm = r.d();
-  o.probe_range_nm = r.d();
-  o.grid_nm = r.i64();
-  o.min_mask_space_nm = r.i64();
-  o.min_tip_gap_nm = r.i64();
-  o.corner_gain_scale = r.d();
-  o.corner_max_offset = r.i64();
-
-  litho::SimSpec& s = spec.sim;
-  s.optics.wavelength_nm = r.d();
-  s.optics.na = r.d();
-  s.optics.source.shape = r.enum8<litho::SourceShape>(4, "source shape");
-  s.optics.source.sigma_outer = r.d();
-  s.optics.source.sigma_inner = r.d();
-  s.optics.source.pole_center = r.d();
-  s.optics.source.pole_radius = r.d();
-  s.optics.source.grid = r.i32();
-  s.optics.aberrations.coma_x_nm = r.d();
-  s.optics.aberrations.coma_y_nm = r.d();
-  s.optics.aberrations.astig_nm = r.d();
-  s.mask.type = r.enum8<litho::MaskType>(2, "mask type");
-  s.mask.background_transmission = r.d();
-  s.resist.threshold = r.d();
-  s.resist.diffusion_nm = r.d();
-  s.pixel_nm = r.d();
-  s.guard_nm = r.i64();
-  s.imaging = r.enum8<litho::ImagingMode>(2, "imaging mode");
-  s.socs_epsilon = r.d();
-
-  spec.halo_nm = r.i64();
-  spec.input_layer.layer = r.u16();
-  spec.input_layer.datatype = r.u16();
-  spec.output_layer.layer = r.u16();
-  spec.output_layer.datatype = r.u16();
-  spec.flat_context_passes = r.i32();
-  spec.preflight = r.boolean();
-  spec.jobs = r.i32();
-  spec.cache = r.boolean();
-  spec.cache_symmetry = r.boolean();
-
-  const std::uint32_t n_checks = r.u32();
-  if (n_checks > kMaxDeckChecks) malformed("MRC deck count exceeds the limit");
-  // Each check costs at least kind + value + name length = 13 bytes;
-  // pre-check so a corrupt count cannot allocate unboundedly.
-  if (r.remaining() < static_cast<std::uint64_t>(n_checks) * 13)
-    malformed("truncated MRC deck");
-  spec.mrc_deck.reserve(n_checks);
-  for (std::uint32_t i = 0; i < n_checks; ++i) {
-    mrc::Check c;
-    c.kind = r.enum8<mrc::CheckKind>(7, "MRC check kind");
-    c.value = r.i64();
-    c.name = r.str();
-    spec.mrc_deck.push_back(std::move(c));
-  }
-  spec.mrc_action = r.enum8<mrc::Action>(2, "MRC action");
-
-  spec.library_path = r.str();
-  spec.library_budget = r.d();
-  if (!(spec.library_budget >= 0.0))
-    malformed("negative or NaN library budget");
-
-  spec.engine = r.enum8<CorrectionEngine>(3, "correction engine");
-  spec.ilt_escalation_epe_nm = r.d();
-  if (!(spec.ilt_escalation_epe_nm >= 0.0))
-    malformed("negative or NaN ILT escalation threshold");
-  ilt::IltSpec& il = spec.ilt;
-  il.max_iterations = r.i32();
-  il.step = r.d();
-  il.sigmoid_steepness = r.d();
-  il.edge_weight = r.d();
-  il.edge_band_nm = r.d();
-  il.convergence_tol = r.d();
-  il.mask_threshold = r.d();
-  il.min_width_nm = r.i64();
-  il.min_space_nm = r.i64();
-  il.min_corner_nm = r.i64();
-  il.min_area_nm2 = r.d();
-  if (il.max_iterations < 1 || !(il.step > 0.0) ||
-      !(il.sigmoid_steepness > 0.0) || !(il.edge_weight >= 0.0) ||
-      !(il.edge_band_nm >= 0.0) || !(il.convergence_tol >= 0.0) ||
-      !(il.mask_threshold > 0.0 && il.mask_threshold < 1.0) ||
-      il.min_width_nm <= 0 || il.min_space_nm <= 0 ||
-      il.min_corner_nm <= 0 || !(il.min_area_nm2 >= 0.0))
-    malformed("invalid pixel-ILT knobs");
-
-  if (r.remaining() != 0)
-    malformed(std::to_string(r.remaining()) +
-              " trailing bytes after a well-formed spec");
+  visit_flow_fields(spec, SectionReader{FieldRole::kMixed, r});
+  visit_flow_fields(spec, SectionReader{FieldRole::kCarried, r});
+  r.finish("spec");
   return spec;
+}
+
+std::uint64_t flow_fingerprint(const FlowSpec& spec,
+                               std::string_view flow_kind) {
+  // FNV-1a over the flow kind, then the codec's mixed section: the
+  // identity is exactly the bytes the wire carries for the mixed fields.
+  ByteWriter mixed;
+  visit_flow_fields(spec, SectionWriter{FieldRole::kMixed, mixed});
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint8_t byte) {
+    h ^= byte;
+    h *= 1099511628211ULL;
+  };
+  for (char c : flow_kind) mix(static_cast<std::uint8_t>(c));
+  for (std::uint8_t byte : mixed.bytes()) mix(byte);
+  return h;
 }
 
 }  // namespace opckit::opc

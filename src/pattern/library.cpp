@@ -16,55 +16,38 @@ constexpr store::RecordFormat kFormat{{'O', 'P', 'C', 'K', 'I', 'T', 'L', '1'},
                                       "delete it to rebuild it"};
 constexpr std::size_t kSeedBytes = 3 * 8;
 
-using store::store_detail::get_u32;
-using store::store_detail::put_u32;
+using store::store_detail::ByteReader;
+using store::store_detail::ByteWriter;
 
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  store::store_detail::put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-std::int64_t get_i64(const std::uint8_t* p) {
-  return static_cast<std::int64_t>(store::store_detail::get_u64(p));
-}
-
+/// A library record's payload: the TileRecord payload as a counted blob,
+/// then the counted warm seeds.
 std::vector<std::uint8_t> encode_library_record(const LibraryRecord& rec) {
-  const std::vector<std::uint8_t> tile =
-      store::store_detail::encode_record(rec.tile);
-  std::vector<std::uint8_t> out;
-  out.reserve(4 + tile.size() + 4 + rec.seeds.size() * kSeedBytes);
-  put_u32(out, static_cast<std::uint32_t>(tile.size()));
-  out.insert(out.end(), tile.begin(), tile.end());
-  put_u32(out, static_cast<std::uint32_t>(rec.seeds.size()));
+  ByteWriter tile;
+  store::store_detail::write_record(tile, rec.tile);
+  ByteWriter w;
+  w.reserve(4 + tile.bytes().size() + 4 + rec.seeds.size() * kSeedBytes);
+  w.blob(tile.bytes());
+  w.u32(static_cast<std::uint32_t>(rec.seeds.size()));
   for (const WarmSeed& s : rec.seeds) {
-    put_i64(out, s.site.x);
-    put_i64(out, s.site.y);
-    put_i64(out, s.offset);
+    w.i64(s.site.x);
+    w.i64(s.site.y);
+    w.i64(s.offset);
   }
-  return out;
+  return std::move(w).take();
 }
 
-/// Parse one library-record payload; false on any structural violation.
-bool decode_library_record(const std::uint8_t* data, std::size_t size,
-                           LibraryRecord& rec) {
-  if (size < 4) return false;
-  const std::uint32_t tile_len = get_u32(data);
-  std::size_t pos = 4;
-  if (size - pos < tile_len) return false;
-  if (!store::store_detail::decode_record(data + pos, tile_len, rec.tile))
-    return false;
-  pos += tile_len;
-  if (size - pos < 4) return false;
-  const std::uint32_t n_seeds = get_u32(data + pos);
-  pos += 4;
-  if ((size - pos) / kSeedBytes < n_seeds) return false;
+void read_library_record(ByteReader& r, LibraryRecord& rec) {
+  ByteReader tile = r.nested(r.blob());
+  store::store_detail::read_record(tile, rec.tile);
+  tile.finish("tile record");
+  const std::uint32_t n_seeds = r.u32();
+  r.need(std::uint64_t{n_seeds} * kSeedBytes, "warm seeds");
   rec.seeds.resize(n_seeds);
   for (WarmSeed& s : rec.seeds) {
-    s.site.x = get_i64(data + pos);
-    s.site.y = get_i64(data + pos + 8);
-    s.offset = get_i64(data + pos + 16);
-    pos += kSeedBytes;
+    s.site.x = r.i64();
+    s.site.y = r.i64();
+    s.offset = r.i64();
   }
-  return pos == size;
 }
 
 }  // namespace
@@ -82,9 +65,9 @@ PatternLibrary PatternLibrary::open(const std::string& path,
   }
   const store::FramedLoad loaded = store::load_records(
       path, kFormat, fingerprint, /*report=*/nullptr,
-      [&lib](const std::uint8_t* data, std::size_t size) {
+      [&lib](ByteReader& r) {
         LibraryRecord rec;
-        if (!decode_library_record(data, size, rec)) return false;
+        read_library_record(r, rec);
         // Rebuild the index from geometry; features and hashes are
         // derived data and are never trusted from disk.
         const std::size_t idx = lib.records_.size();
@@ -95,7 +78,6 @@ PatternLibrary PatternLibrary::open(const std::string& path,
             std::upper_bound(lib.by_norm_.begin(), lib.by_norm_.end(), key),
             key);
         lib.records_.push_back(std::move(rec));
-        return true;
       });
   lib.load_info_.records_loaded = loaded.records;
   lib.load_info_.tail_recovered = loaded.tail_recovered;

@@ -3,7 +3,7 @@
 #include <cstring>
 
 #include "core/flow_codec.h"
-#include "store/result_store.h"
+#include "store/record_file.h"
 
 namespace opckit::svc {
 namespace {
@@ -12,114 +12,12 @@ namespace {
 /// anything that could be used to balloon the decoder.
 constexpr std::uint32_t kMaxStringBytes = 1u << 20;
 
-// ---- little-endian primitives -----------------------------------------
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFFu));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
+using store::store_detail::ByteReader;
+using store::store_detail::ByteWriter;
 
 [[noreturn]] void bad_payload(const std::string& what) {
   throw ProtocolError(WireFault::kBadPayload, what);
 }
-
-/// Bounds-checked payload cursor; throws kBadPayload instead of reading
-/// past the end.
-class Reader {
- public:
-  explicit Reader(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
-
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-
-  std::uint8_t u8() {
-    need(1);
-    return bytes_[pos_++];
-  }
-
-  std::uint16_t u16() {
-    need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-      v = static_cast<std::uint16_t>(
-          v |
-          static_cast<std::uint16_t>(bytes_[pos_ + static_cast<std::size_t>(
-                                                       i)])
-              << (8 * i));
-    pos_ += 2;
-    return v;
-  }
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(
-               bytes_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               bytes_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (n > kMaxStringBytes) bad_payload("string length exceeds the limit");
-    need(n);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  std::vector<std::uint8_t> blob() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::vector<std::uint8_t> b(bytes_.begin() + static_cast<std::ptrdiff_t>(
-                                                     pos_),
-                                bytes_.begin() +
-                                    static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return b;
-  }
-
-  void finish() {
-    if (remaining() != 0)
-      bad_payload(std::to_string(remaining()) +
-                  " trailing bytes after a well-formed payload");
-  }
-
- private:
-  void need(std::size_t n) {
-    if (remaining() < n) bad_payload("truncated payload");
-  }
-
-  const std::vector<std::uint8_t>& bytes_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -176,15 +74,14 @@ void write_all(Stream& s, const void* buf, std::size_t n) {
 void write_frame(Stream& s, MsgType type,
                  const std::vector<std::uint8_t>& payload) {
   OPCKIT_CHECK(payload.size() <= kMaxPayloadBytes);
-  std::vector<std::uint8_t> frame;
+  ByteWriter frame;
   frame.reserve(kFrameHeaderSize + payload.size() + 4);
-  frame.insert(frame.end(), std::begin(kMagic), std::end(kMagic));
-  put_u16(frame, kProtocolVersion);
-  put_u16(frame, static_cast<std::uint16_t>(type));
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  put_u32(frame, store::store_detail::crc32(payload.data(), payload.size()));
-  write_all(s, frame.data(), frame.size());
+  frame.raw(kMagic);
+  frame.u16(kProtocolVersion);
+  frame.u16(static_cast<std::uint16_t>(type));
+  frame.blob(payload);
+  frame.u32(store::store_detail::crc32(payload.data(), payload.size()));
+  write_all(s, frame.bytes().data(), frame.bytes().size());
 }
 
 std::optional<Frame> read_frame(Stream& s) {
@@ -195,21 +92,21 @@ std::optional<Frame> read_frame(Stream& s) {
   if (std::memcmp(header, kMagic, sizeof kMagic) != 0)
     throw ProtocolError(WireFault::kBadMagic,
                         "frame does not start with the OPCS magic");
-  const std::uint16_t version =
-      static_cast<std::uint16_t>(header[4] | (header[5] << 8));
+  // Every header field is present (read_exact), so these reads cannot fail.
+  ByteReader fields(std::span<const std::uint8_t>(header).subspan(
+                        sizeof kMagic),
+                    bad_payload);
+  const std::uint16_t version = fields.u16();
   if (version != kProtocolVersion)
     throw ProtocolError(WireFault::kBadVersion,
                         "frame version " + std::to_string(version) +
                             "; this build speaks version " +
                             std::to_string(kProtocolVersion));
-  const std::uint16_t type =
-      static_cast<std::uint16_t>(header[6] | (header[7] << 8));
+  const std::uint16_t type = fields.u16();
   if (!is_known_type(type))
     throw ProtocolError(WireFault::kBadType,
                         "unknown message type " + std::to_string(type));
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i)
-    len |= static_cast<std::uint32_t>(header[8 + i]) << (8 * i);
+  const std::uint32_t len = fields.u32();
   if (len > kMaxPayloadBytes)
     throw ProtocolError(WireFault::kOversized,
                         "payload length " + std::to_string(len) +
@@ -224,9 +121,7 @@ std::optional<Frame> read_frame(Stream& s) {
   }
   std::uint8_t crc_bytes[4];
   read_exact(s, crc_bytes, sizeof crc_bytes, /*eof_ok_at_start=*/false);
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i)
-    crc |= static_cast<std::uint32_t>(crc_bytes[i]) << (8 * i);
+  const std::uint32_t crc = ByteReader(crc_bytes, bad_payload).u32();
   if (store::store_detail::crc32(frame.payload.data(),
                                  frame.payload.size()) != crc)
     throw ProtocolError(WireFault::kBadCrc, "payload checksum mismatch");
@@ -236,29 +131,27 @@ std::optional<Frame> read_frame(Stream& s) {
 // ---- message encodings ------------------------------------------------
 
 std::vector<std::uint8_t> encode_submit(const SubmitMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, static_cast<std::uint32_t>(m.priority));
-  out.push_back(m.flow);
-  put_str(out, m.in_path);
-  put_str(out, m.out_path);
-  put_str(out, m.top);
-  const std::vector<std::uint8_t> spec = opc::encode_flow_spec(m.spec);
-  put_u32(out, static_cast<std::uint32_t>(spec.size()));
-  out.insert(out.end(), spec.begin(), spec.end());
-  return out;
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(m.priority));
+  w.u8(m.flow);
+  w.str(m.in_path);
+  w.str(m.out_path);
+  w.str(m.top);
+  w.blob(opc::encode_flow_spec(m.spec));
+  return std::move(w).take();
 }
 
 SubmitMsg decode_submit(const std::vector<std::uint8_t>& payload) {
-  Reader r(payload);
+  ByteReader r(payload, bad_payload);
   SubmitMsg m;
   m.priority = static_cast<std::int32_t>(r.u32());
   m.flow = r.u8();
   if (m.flow > 1) bad_payload("bad flow kind (0 = flat, 1 = cell)");
-  m.in_path = r.str();
-  m.out_path = r.str();
-  m.top = r.str();
-  const std::vector<std::uint8_t> spec = r.blob();
-  r.finish();
+  m.in_path = r.str(kMaxStringBytes);
+  m.out_path = r.str(kMaxStringBytes);
+  m.top = r.str(kMaxStringBytes);
+  const std::span<const std::uint8_t> spec = r.blob();
+  r.finish("payload");
   try {
     m.spec = opc::decode_flow_spec(spec.data(), spec.size());
   } catch (const util::InputError& e) {
@@ -268,80 +161,80 @@ SubmitMsg decode_submit(const std::vector<std::uint8_t>& payload) {
 }
 
 std::vector<std::uint8_t> encode_accepted(const AcceptedMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, m.job_id);
-  put_u32(out, m.queue_depth);
-  return out;
+  ByteWriter w;
+  w.u64(m.job_id);
+  w.u32(m.queue_depth);
+  return std::move(w).take();
 }
 
 AcceptedMsg decode_accepted(const std::vector<std::uint8_t>& payload) {
-  Reader r(payload);
+  ByteReader r(payload, bad_payload);
   AcceptedMsg m;
   m.job_id = r.u64();
   m.queue_depth = r.u32();
-  r.finish();
+  r.finish("payload");
   return m;
 }
 
 std::vector<std::uint8_t> encode_rejected(const RejectedMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, m.job_id);
-  put_u16(out, static_cast<std::uint16_t>(m.reason));
-  put_str(out, m.message);
-  return out;
+  ByteWriter w;
+  w.u64(m.job_id);
+  w.u16(static_cast<std::uint16_t>(m.reason));
+  w.str(m.message);
+  return std::move(w).take();
 }
 
 RejectedMsg decode_rejected(const std::vector<std::uint8_t>& payload) {
-  Reader r(payload);
+  ByteReader r(payload, bad_payload);
   RejectedMsg m;
   m.job_id = r.u64();
   const std::uint16_t reason = r.u16();
   if (reason < 1 || reason > 3) bad_payload("bad reject reason");
   m.reason = static_cast<RejectReason>(reason);
-  m.message = r.str();
-  r.finish();
+  m.message = r.str(kMaxStringBytes);
+  r.finish("payload");
   return m;
 }
 
 std::vector<std::uint8_t> encode_progress(const ProgressMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, m.job_id);
-  put_u32(out, static_cast<std::uint32_t>(m.pass));
-  put_u64(out, m.tiles_done);
-  put_u64(out, m.tiles_total);
-  put_str(out, m.phase);
-  return out;
+  ByteWriter w;
+  w.u64(m.job_id);
+  w.u32(static_cast<std::uint32_t>(m.pass));
+  w.u64(m.tiles_done);
+  w.u64(m.tiles_total);
+  w.str(m.phase);
+  return std::move(w).take();
 }
 
 ProgressMsg decode_progress(const std::vector<std::uint8_t>& payload) {
-  Reader r(payload);
+  ByteReader r(payload, bad_payload);
   ProgressMsg m;
   m.job_id = r.u64();
   m.pass = static_cast<std::int32_t>(r.u32());
   m.tiles_done = r.u64();
   m.tiles_total = r.u64();
-  m.phase = r.str();
-  r.finish();
+  m.phase = r.str(kMaxStringBytes);
+  r.finish("payload");
   return m;
 }
 
 std::vector<std::uint8_t> encode_result(const ResultMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, m.job_id);
-  out.push_back(m.ok ? 1 : 0);
-  put_str(out, m.payload);
-  return out;
+  ByteWriter w;
+  w.u64(m.job_id);
+  w.u8(m.ok ? 1 : 0);
+  w.str(m.payload);
+  return std::move(w).take();
 }
 
 ResultMsg decode_result(const std::vector<std::uint8_t>& payload) {
-  Reader r(payload);
+  ByteReader r(payload, bad_payload);
   ResultMsg m;
   m.job_id = r.u64();
   const std::uint8_t ok = r.u8();
   if (ok > 1) bad_payload("bad result flag");
   m.ok = ok == 1;
-  m.payload = r.str();
-  r.finish();
+  m.payload = r.str(kMaxStringBytes);
+  r.finish("payload");
   return m;
 }
 
@@ -350,28 +243,28 @@ std::vector<std::uint8_t> encode_shutdown(const ShutdownMsg& m) {
 }
 
 ShutdownMsg decode_shutdown(const std::vector<std::uint8_t>& payload) {
-  Reader r(payload);
+  ByteReader r(payload, bad_payload);
   ShutdownMsg m;
   const std::uint8_t mode = r.u8();
   if (mode > 1) bad_payload("bad shutdown mode (0 = drain, 1 = abort)");
   m.mode = static_cast<ShutdownMode>(mode);
-  r.finish();
+  r.finish("payload");
   return m;
 }
 
 std::vector<std::uint8_t> encode_error(const ErrorMsg& m) {
-  std::vector<std::uint8_t> out;
-  put_u16(out, m.code);
-  put_str(out, m.message);
-  return out;
+  ByteWriter w;
+  w.u16(m.code);
+  w.str(m.message);
+  return std::move(w).take();
 }
 
 ErrorMsg decode_error(const std::vector<std::uint8_t>& payload) {
-  Reader r(payload);
+  ByteReader r(payload, bad_payload);
   ErrorMsg m;
   m.code = r.u16();
-  m.message = r.str();
-  r.finish();
+  m.message = r.str(kMaxStringBytes);
+  r.finish("payload");
   return m;
 }
 

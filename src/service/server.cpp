@@ -237,13 +237,8 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
     // The daemon owns durability through the shared library, never
     // through a per-job store or pattern-library file — two concurrent
     // jobs with equal fingerprints must not append to one file from two
-    // caches. library_path is cleared BEFORE fingerprinting so the shelf
-    // key depends on the solver knobs (library_budget included), not on
-    // whatever path the client happened to name.
-    spec.store_path.clear();
-    spec.resume = false;
-    spec.store_sync = false;
-    spec.library_path.clear();
+    // caches. The wire carries no host-local field (core/flow_codec.h),
+    // so a decoded spec names no store or library file to begin with.
     const std::uint64_t fp = opc::flow_fingerprint(spec, kind);
 
     const std::vector<store::TileRecord> shelf = library_.snapshot(fp);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <exception>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,8 +18,8 @@
 namespace opckit::store {
 namespace {
 
-using store_detail::get_u32;
-using store_detail::put_u32;
+using store_detail::ByteReader;
+using store_detail::ByteWriter;
 
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 4;
@@ -39,6 +40,14 @@ lint::Diagnostic make_diag(std::string_view code, std::string message) {
   std::string line = d.to_line();
   if (report) report->add(std::move(d));
   throw util::InputError(std::string(format.name) + ": " + line);
+}
+
+/// A record payload that fails to decode; load_records() turns it into
+/// the STO004 refusal, which names the record.
+struct MalformedPayload {};
+
+void malformed_payload(const std::string& /*what*/) {
+  throw MalformedPayload{};
 }
 
 // ---- POSIX writer plumbing (EINTR-safe) -------------------------------
@@ -72,28 +81,6 @@ void write_all_fd(int fd, const std::uint8_t* data, std::size_t size,
 
 namespace store_detail {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
 std::uint32_t crc32(const void* data, std::size_t size) {
   static const std::array<std::uint32_t, 256> table = [] {
     std::array<std::uint32_t, 256> t{};
@@ -112,19 +99,50 @@ std::uint32_t crc32(const void* data, std::size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+void ByteReader::fail(const std::string& what) const {
+  fail_(what);
+  std::terminate();  // a Fail handler must throw
+}
+
+void ByteReader::truncated(const char* what) const {
+  fail(std::string("truncated buffer reading ") + what);
+}
+
+std::span<const std::uint8_t> ByteReader::bytes(std::size_t n,
+                                                const char* what) {
+  need(n, what);
+  const std::span<const std::uint8_t> out = bytes_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
+std::string ByteReader::str(std::uint32_t max_bytes) {
+  const std::uint32_t n = u32();
+  if (n > max_bytes) fail("string length exceeds the limit");
+  const std::span<const std::uint8_t> b = bytes(n, "string body");
+  return {reinterpret_cast<const char*>(b.data()), b.size()};
+}
+
+void ByteReader::finish(const char* what) {
+  if (remaining() != 0)
+    fail(std::to_string(remaining()) + " trailing bytes after a well-formed " +
+         what);
+}
+
 }  // namespace store_detail
 
 FramedLoad load_records(
     const std::string& path, const RecordFormat& format,
     std::uint64_t fingerprint, lint::LintReport* report,
-    const std::function<bool(const std::uint8_t*, std::size_t)>& decode) {
+    const std::function<void(ByteReader&)>& decode) {
   std::ifstream in(path, std::ios::binary);
   if (!in)
     throw util::InputError(std::string(format.name) + ": cannot open '" +
                            path + "'");
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+  const std::vector<std::uint8_t> file(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   in.close();
+  const std::span<const std::uint8_t> bytes(file);
 
   // ---- header ----
   const std::string magic(format.magic.begin(), format.magic.end());
@@ -135,11 +153,10 @@ FramedLoad load_records(
   if (!std::equal(format.magic.begin(), format.magic.end(), bytes.begin()))
     refuse(format, report, "STO003",
            "'" + path + "' does not start with the " + magic + " magic");
-  const auto version = get_u32(bytes.data() + 8);
-  const std::uint64_t file_fingerprint =
-      store_detail::get_u64(bytes.data() + 12);
-  if (store_detail::crc32(bytes.data(), kHeaderSize - 4) !=
-      get_u32(bytes.data() + 20))
+  ByteReader header(bytes.subspan(8, kHeaderSize - 8), malformed_payload);
+  const std::uint32_t version = header.u32();
+  const std::uint64_t file_fingerprint = header.u64();
+  if (store_detail::crc32(bytes.data(), kHeaderSize - 4) != header.u32())
     refuse(format, report, "STO003", "'" + path + "' header checksum mismatch");
   if (version != kVersion)
     refuse(format, report, "STO003",
@@ -157,19 +174,14 @@ FramedLoad load_records(
 
   // ---- records ----
   FramedLoad result;
-  std::size_t pos = kHeaderSize;
-  result.valid_bytes = pos;
-  while (pos < bytes.size()) {
-    const std::size_t rem = bytes.size() - pos;
-    std::uint32_t len = 0;
-    bool torn = rem < 4;
-    if (!torn) {
-      len = get_u32(bytes.data() + pos);
-      // A length that runs past EOF is an interrupted write, not
-      // corruption — the CRC that would vouch for it was never written.
-      torn = static_cast<std::uint64_t>(len) + 8 > rem;
-    }
-    if (torn) {
+  ByteReader records(bytes.subspan(kHeaderSize), malformed_payload);
+  result.valid_bytes = kHeaderSize;
+  while (records.remaining() > 0) {
+    const std::size_t rem = records.remaining();
+    const std::uint64_t len = rem < 4 ? 0 : records.u32();
+    // A length that runs past EOF is an interrupted write, not
+    // corruption — the CRC that would vouch for it was never written.
+    if (rem < 4 || len + 8 > rem) {
       result.tail_recovered = true;
       result.tail_bytes = rem;
       lint::Diagnostic d = make_diag(
@@ -180,21 +192,26 @@ FramedLoad load_records(
       if (report) report->add(std::move(d));
       break;
     }
-    const std::uint8_t* payload = bytes.data() + pos + 4;
-    if (store_detail::crc32(payload, len) != get_u32(payload + len))
+    const std::span<const std::uint8_t> payload =
+        records.bytes(static_cast<std::size_t>(len), "record payload");
+    if (store_detail::crc32(payload.data(), payload.size()) != records.u32())
       refuse(format, report, "STO004",
              "'" + path + "' record " + std::to_string(result.records) +
                  " fails its checksum; the " + format.name +
                  " is corrupt — " + format.remedy);
-    if (!decode(payload, len))
+    try {
+      ByteReader record(payload, malformed_payload);
+      decode(record);
+      record.finish("record");
+    } catch (const MalformedPayload&) {
       refuse(format, report, "STO004",
              "'" + path + "' record " + std::to_string(result.records) +
                  " is structurally malformed despite a valid checksum; "
                  "the " +
                  format.name + " is corrupt — " + format.remedy);
+    }
     ++result.records;
-    pos += 4 + static_cast<std::size_t>(len) + 4;
-    result.valid_bytes = pos;
+    result.valid_bytes = bytes.size() - records.remaining();
   }
   return result;
 }
@@ -226,12 +243,12 @@ RecordWriter RecordWriter::create(const std::string& path,
                                   const RecordFormat& format,
                                   std::uint64_t fingerprint,
                                   bool sync_on_append) {
-  std::vector<std::uint8_t> header;
-  header.insert(header.end(), format.magic.begin(), format.magic.end());
-  put_u32(header, kVersion);
-  store_detail::put_u64(header, fingerprint);
-  put_u32(header, store_detail::crc32(header.data(), header.size()));
-  OPCKIT_DCHECK(header.size() == kHeaderSize);
+  ByteWriter header;
+  header.raw(format.magic);
+  header.u32(kVersion);
+  header.u64(fingerprint);
+  header.u32(store_detail::crc32(header.bytes().data(), header.bytes().size()));
+  OPCKIT_DCHECK(header.bytes().size() == kHeaderSize);
 
   RecordWriter writer(
       path, format.name,
@@ -241,7 +258,8 @@ RecordWriter RecordWriter::create(const std::string& path,
   // The header is not fsynced here even in sync mode: fsync flushes the
   // whole file, so the first record's sync covers it, and an empty file
   // that vanishes in a crash costs nothing to recreate.
-  write_all_fd(writer.fd_, header.data(), header.size(), path, format.name);
+  write_all_fd(writer.fd_, header.bytes().data(), header.bytes().size(), path,
+               format.name);
   return writer;
 }
 
@@ -262,15 +280,15 @@ RecordWriter RecordWriter::append_to(const std::string& path,
       sync_on_append);
 }
 
-void RecordWriter::append(const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> framed;
+void RecordWriter::append(std::span<const std::uint8_t> payload) {
+  ByteWriter framed;
   framed.reserve(payload.size() + 8);
-  put_u32(framed, static_cast<std::uint32_t>(payload.size()));
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  put_u32(framed, store_detail::crc32(payload.data(), payload.size()));
+  framed.blob(payload);
+  framed.u32(store_detail::crc32(payload.data(), payload.size()));
   // One unbuffered write per record: a crash costs at most the record
   // being written, which the next load recovers as a torn tail.
-  write_all_fd(fd_, framed.data(), framed.size(), path_, name_);
+  write_all_fd(fd_, framed.bytes().data(), framed.bytes().size(), path_,
+               name_);
   if (sync_on_append_) {
     if (::fsync(fd_) != 0)
       throw util::InputError(std::string(name_) + ": fsync failed on '" +

@@ -13,124 +13,80 @@ constexpr RecordFormat kFormat{{'O', 'P', 'C', 'K', 'I', 'T', 'S', '1'},
 constexpr std::size_t kRectBytes = 4 * 8;
 constexpr std::size_t kPointBytes = 2 * 8;
 
-using store_detail::put_u32;
+using store_detail::ByteReader;
+using store_detail::ByteWriter;
 
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  store_detail::put_u64(out, static_cast<std::uint64_t>(v));
+void write_rect(ByteWriter& w, const geom::Rect& r) {
+  w.i64(r.lo.x);
+  w.i64(r.lo.y);
+  w.i64(r.hi.x);
+  w.i64(r.hi.y);
 }
 
-void put_rect(std::vector<std::uint8_t>& out, const geom::Rect& r) {
-  put_i64(out, r.lo.x);
-  put_i64(out, r.lo.y);
-  put_i64(out, r.hi.x);
-  put_i64(out, r.hi.y);
+geom::Rect read_rect(ByteReader& r) {
+  geom::Rect rect;
+  rect.lo.x = r.i64();
+  rect.lo.y = r.i64();
+  rect.hi.x = r.i64();
+  rect.hi.y = r.i64();
+  return rect;
 }
 
-/// Bounds-checked cursor over an in-memory byte range. Every accessor
-/// reports failure instead of reading past the end, so corrupt counts
-/// can never drive an out-of-range access.
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
+void write_rects(ByteWriter& w, const std::vector<geom::Rect>& rects) {
+  w.u32(static_cast<std::uint32_t>(rects.size()));
+  for (const geom::Rect& r : rects) write_rect(w, r);
+}
 
-  std::size_t remaining() const { return size_ - pos_; }
-  std::size_t pos() const { return pos_; }
-
-  bool read_u32(std::uint32_t& v) {
-    if (remaining() < 4) return false;
-    v = store_detail::get_u32(data_ + pos_);
-    pos_ += 4;
-    return true;
-  }
-
-  bool read_i64(std::int64_t& v) {
-    if (remaining() < 8) return false;
-    v = static_cast<std::int64_t>(store_detail::get_u64(data_ + pos_));
-    pos_ += 8;
-    return true;
-  }
-
-  bool read_u8(std::uint8_t& v) {
-    if (remaining() < 1) return false;
-    v = data_[pos_++];
-    return true;
-  }
-
-  bool read_rect(geom::Rect& r) {
-    return read_i64(r.lo.x) && read_i64(r.lo.y) && read_i64(r.hi.x) &&
-           read_i64(r.hi.y);
-  }
-
- private:
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+std::vector<geom::Rect> read_rects(ByteReader& r) {
+  const std::uint32_t n = r.u32();
+  r.need(std::uint64_t{n} * kRectBytes, "rects");
+  std::vector<geom::Rect> rects(n);
+  for (geom::Rect& rect : rects) rect = read_rect(r);
+  return rects;
+}
 
 }  // namespace
 
 namespace store_detail {
 
-bool decode_record(const std::uint8_t* data, std::size_t size,
-                   TileRecord& rec) {
-  Reader r(data, size);
-  std::uint8_t orient = 0;
-  if (!r.read_u8(orient) || orient >= geom::kOrientationCount) return false;
+void read_record(ByteReader& r, TileRecord& rec) {
+  const std::uint8_t orient = r.u8();
+  if (orient >= geom::kOrientationCount) r.fail("orientation out of range");
   rec.orientation = static_cast<geom::Orientation>(orient);
-  if (!r.read_rect(rec.frame)) return false;
-
-  auto read_rects = [&r](std::vector<geom::Rect>& out) {
-    std::uint32_t n = 0;
-    if (!r.read_u32(n)) return false;
-    if (r.remaining() < static_cast<std::uint64_t>(n) * kRectBytes)
-      return false;
-    out.resize(n);
-    for (auto& rect : out)
-      if (!r.read_rect(rect)) return false;
-    return true;
-  };
-  if (!read_rects(rec.window_rects)) return false;
-  if (!read_rects(rec.own_rects)) return false;
-
-  std::uint32_t n_polys = 0;
-  if (!r.read_u32(n_polys)) return false;
-  // Each polygon costs at least a vertex count; cheap pre-check before
-  // the resize so a corrupt count cannot allocate unboundedly.
-  if (r.remaining() < static_cast<std::uint64_t>(n_polys) * 4) return false;
+  rec.frame = read_rect(r);
+  rec.window_rects = read_rects(r);
+  rec.own_rects = read_rects(r);
+  const std::uint32_t n_polys = r.u32();
+  // Each polygon costs at least a vertex count: a corrupt count cannot
+  // allocate unboundedly.
+  r.need(std::uint64_t{n_polys} * 4, "polygons");
   rec.solution.clear();
   rec.solution.reserve(n_polys);
   for (std::uint32_t p = 0; p < n_polys; ++p) {
-    std::uint32_t n_verts = 0;
-    if (!r.read_u32(n_verts)) return false;
-    if (r.remaining() < static_cast<std::uint64_t>(n_verts) * kPointBytes)
-      return false;
+    const std::uint32_t n_verts = r.u32();
+    r.need(std::uint64_t{n_verts} * kPointBytes, "vertices");
     std::vector<geom::Point> ring(n_verts);
-    for (auto& v : ring)
-      if (!r.read_i64(v.x) || !r.read_i64(v.y)) return false;
+    for (geom::Point& v : ring) {
+      v.x = r.i64();
+      v.y = r.i64();
+    }
     rec.solution.emplace_back(std::move(ring));
   }
-  // Trailing bytes after a well-formed record are corruption too.
-  return r.remaining() == 0;
 }
 
-std::vector<std::uint8_t> encode_record(const TileRecord& record) {
-  std::vector<std::uint8_t> out;
-  out.push_back(static_cast<std::uint8_t>(record.orientation));
-  put_rect(out, record.frame);
-  put_u32(out, static_cast<std::uint32_t>(record.window_rects.size()));
-  for (const auto& r : record.window_rects) put_rect(out, r);
-  put_u32(out, static_cast<std::uint32_t>(record.own_rects.size()));
-  for (const auto& r : record.own_rects) put_rect(out, r);
-  put_u32(out, static_cast<std::uint32_t>(record.solution.size()));
+void write_record(ByteWriter& w, const TileRecord& record) {
+  w.u8(static_cast<std::uint8_t>(record.orientation));
+  write_rect(w, record.frame);
+  write_rects(w, record.window_rects);
+  write_rects(w, record.own_rects);
+  w.u32(static_cast<std::uint32_t>(record.solution.size()));
   for (const auto& poly : record.solution) {
-    put_u32(out, static_cast<std::uint32_t>(poly.ring().size()));
+    w.u32(static_cast<std::uint32_t>(poly.ring().size()));
     for (const auto& v : poly.ring()) {
-      put_i64(out, v.x);
-      put_i64(out, v.y);
+      w.i64(v.x);
+      w.i64(v.y);
     }
   }
-  return out;
 }
 
 }  // namespace store_detail
@@ -155,11 +111,8 @@ LoadResult ResultStore::load(const std::string& path,
   LoadResult result;
   const FramedLoad framed = load_records(
       path, kFormat, expected_fingerprint, report,
-      [&result](const std::uint8_t* data, std::size_t size) {
-        TileRecord rec;
-        if (!store_detail::decode_record(data, size, rec)) return false;
-        result.records.push_back(std::move(rec));
-        return true;
+      [&result](ByteReader& r) {
+        store_detail::read_record(r, result.records.emplace_back());
       });
   result.tail_recovered = framed.tail_recovered;
   result.valid_bytes = framed.valid_bytes;
@@ -175,7 +128,9 @@ LoadResult ResultStore::load(const std::string& path,
 }
 
 void ResultStore::append(const TileRecord& record) {
-  writer_.append(store_detail::encode_record(record));
+  ByteWriter w;
+  store_detail::write_record(w, record);
+  writer_.append(w.bytes());
   ++appended_;
   trace::metrics().counter(trace::metric::kStoreRecordsAppended).add();
 }

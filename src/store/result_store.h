@@ -125,14 +125,14 @@ class ResultStore {
 };
 
 namespace store_detail {
-/// Serialize one record to the payload byte layout (exposed for tests).
-std::vector<std::uint8_t> encode_record(const TileRecord& record);
-/// Parse one record payload (the inverse of encode_record); returns false
-/// on any structural violation — truncated field, count past the bytes
-/// present, trailing bytes. Exposed so other persistence layers (the
-/// pattern library) can embed the record layout under their own framing.
-bool decode_record(const std::uint8_t* data, std::size_t size,
-                   TileRecord& rec);
+/// Append one record's payload byte layout to \p w. Exposed so other
+/// persistence layers (the pattern library) can embed the record layout
+/// under their own framing.
+void write_record(ByteWriter& w, const TileRecord& record);
+/// Read one record (the inverse of write_record). A truncated field or a
+/// count past the bytes present fails through \p r's handler; the
+/// caller checks for trailing bytes (ByteReader::finish).
+void read_record(ByteReader& r, TileRecord& rec);
 }  // namespace store_detail
 
 }  // namespace opckit::store

@@ -33,8 +33,6 @@ constexpr std::array kMetricTable = {
                0.0, 64.0, 16},
     MetricInfo{metric::kCacheHits, MetricKind::kCounter,
                "correction-cache translation-exact replays"},
-    MetricInfo{metric::kCacheSymmetryHits, MetricKind::kCounter,
-               "correction-cache D4 symmetry replays (opt-in policy)"},
     MetricInfo{metric::kCacheMisses, MetricKind::kCounter,
                "correction-cache first sightings (solved fresh)"},
     MetricInfo{metric::kCacheConflicts, MetricKind::kCounter,

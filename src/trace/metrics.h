@@ -71,7 +71,6 @@ inline constexpr const char* kFlowPhaseSolveMs = "flow.phase.solve_ms";
 inline constexpr const char* kFlowPhaseMergeMs = "flow.phase.merge_ms";
 inline constexpr const char* kFlowTileSimulations = "flow.tile_simulations";
 inline constexpr const char* kCacheHits = "cache.hits";
-inline constexpr const char* kCacheSymmetryHits = "cache.symmetry_hits";
 inline constexpr const char* kCacheMisses = "cache.misses";
 inline constexpr const char* kCacheConflicts = "cache.conflicts";
 inline constexpr const char* kStoreRecordsAppended = "store.records_appended";

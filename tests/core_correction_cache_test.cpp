@@ -48,7 +48,7 @@ TEST(CorrectionCache, TranslatedWindowHitsAndReplaysExactly) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(CorrectionCache, SymmetryReuseIsOptIn) {
+TEST(CorrectionCache, D4FrameChangeIsAMiss) {
   // The window mirrored about the y-axis (swapping the unequal bars)
   // canonicalizes to the same form through a different witness
   // orientation. (An x-axis mirror would be a disguised translation:
@@ -63,27 +63,12 @@ TEST(CorrectionCache, SymmetryReuseIsOptIn) {
   ASSERT_EQ(k_m.window, k0.window);
   ASSERT_NE(k_m.orientation, k0.orientation);
 
-  {
-    // Default policy: a D4 frame change is NOT a hit; the mirrored
-    // window gets its own entry (and later translated copies of it hit).
-    CorrectionCache cache;
-    cache.store(cache.resolve(k0).entry, k0, targets);
-    EXPECT_EQ(cache.resolve(k_m).outcome, CacheOutcome::kMiss);
-    EXPECT_EQ(cache.size(), 2u);
-  }
-  {
-    CorrectionCache cache(CorrectionCache::Policy{true});
-    cache.store(cache.resolve(k0).entry, k0, targets);
-    const auto r = cache.resolve(k_m);
-    ASSERT_EQ(r.outcome, CacheOutcome::kSymmetryHit);
-    // Solution == targets, so the replay must be the mirrored targets.
-    std::vector<Polygon> replay;
-    for (const Polygon& p : cache.fetch(r.entry, k_m)) {
-      replay.push_back(p.normalized());
-    }
-    EXPECT_EQ(Region::from_polygons(replay), own_m);
-    EXPECT_EQ(cache.stats().symmetry_hits, 1u);
-  }
+  // A D4 frame change is NOT a hit; the mirrored window gets its own
+  // entry (and later translated copies of it hit).
+  CorrectionCache cache;
+  cache.store(cache.resolve(k0).entry, k0, targets);
+  EXPECT_EQ(cache.resolve(k_m).outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(CorrectionCache, DifferentOwnershipSplitConflicts) {

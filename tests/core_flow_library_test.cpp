@@ -218,8 +218,7 @@ TEST(FlowLibrary, WarmStartedFlowIsDeterministicAcrossJobs) {
   const FlowStats seed_stats = run_flat_opc(cold, "top", spec);
   ASSERT_GT(seed_stats.library_entries_appended, 1u);
   // Stash the seeded library; warm runs append, so each jobs value must
-  // start from identical bytes (the path stays fixed — it is mixed into
-  // the fingerprint the file carries).
+  // start from identical bytes.
   const std::string stash = lib_path("flowlib_jobs.stash");
   std::filesystem::copy_file(spec.library_path, stash);
 

@@ -6,6 +6,7 @@
 /// by the `store`-labelled test target so the ASan job gates on them.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 
 #include "core/flow.h"
@@ -78,6 +79,22 @@ std::string store_path(const std::string& name) {
   return path;
 }
 
+/// Models a crash once \p tiles tiles have merged: a progress handler
+/// counts merged tiles across passes (FlowProgress::tiles_done restarts
+/// each pass) and raises \p flag, which the flow's cancel hook polls
+/// before it merges the next tile — so the store holds exactly the
+/// records of the \p tiles merged tiles when FlowAborted propagates.
+void crash_after(FlowSpec& spec, std::size_t tiles, std::atomic<bool>& flag) {
+  flag = false;
+  spec.cancel = &flag;
+  spec.progress = [&flag, tiles, merged = std::size_t{0}](
+                      const FlowProgress& p) mutable {
+    if (p.phase == "merge" && p.tiles_done > 0 && ++merged == tiles) {
+      flag = true;
+    }
+  };
+}
+
 TEST(FlowResume, FlatCrashThenResumeIsByteIdentical) {
   FlowSpec spec = fast_flow();
 
@@ -97,7 +114,8 @@ TEST(FlowResume, FlatCrashThenResumeIsByteIdentical) {
     std::filesystem::remove(spec.store_path);
     {
       FlowSpec crash = spec;
-      crash.fail_after_tiles = 3;
+      std::atomic<bool> flag;
+      crash_after(crash, 3, flag);
       Library lib = dense_chip(2, 2);
       EXPECT_THROW(run_flat_opc(lib, "top", crash), FlowAborted);
     }
@@ -140,7 +158,8 @@ TEST(FlowResume, CellCrashThenResumeIsByteIdentical) {
     std::filesystem::remove(spec.store_path);
     {
       FlowSpec crash = spec;
-      crash.fail_after_tiles = 1;
+      std::atomic<bool> flag;
+      crash_after(crash, 1, flag);
       Library lib = build();
       EXPECT_THROW(run_cell_opc(lib, "top", crash), FlowAborted);
     }
@@ -206,6 +225,34 @@ TEST(FlowResume, EcoResolvesOnlyEditedPlacement) {
             output_polys(full, "top", scratch));
 }
 
+TEST(FlowResume, StoreResumesUnderARenamedLibraryOrNone) {
+  // The library's path is not part of the flow identity, so a store
+  // written under library "a" resumes under "b" and with no library.
+  FlowSpec spec = fast_flow();
+  spec.store_path = store_path("flow_libname.ocs");
+  const std::string a = store_path("flow_libname_a.ocl");
+  const std::string b = store_path("flow_libname_b.ocl");
+  spec.library_path = a;
+  Library cold = sref_chip();
+  const FlowStats first = run_flat_opc(cold, "top", spec);
+  ASSERT_EQ(first.store_entries_appended, 1u);
+  const auto ref = output_polys(cold, "top", spec);
+
+  std::filesystem::rename(a, b);
+  spec.resume = true;
+  for (const std::string& library : {b, std::string()}) {
+    FlowSpec run = spec;
+    run.library_path = library;
+    Library warm = sref_chip();
+    const FlowStats s = run_flat_opc(warm, "top", run);
+    EXPECT_EQ(s.store_entries_loaded, 1u) << "library '" << library << "'";
+    EXPECT_EQ(s.store_hits, 32u) << "library '" << library << "'";
+    EXPECT_EQ(s.opc_runs, 0u) << "library '" << library << "'";
+    EXPECT_EQ(output_polys(warm, "top", run), ref)
+        << "library '" << library << "'";
+  }
+}
+
 TEST(FlowResume, FingerprintMismatchIsRefused) {
   FlowSpec spec = fast_flow();
   spec.store_path = store_path("flow_fpmismatch.ocs");
@@ -231,7 +278,8 @@ TEST(FlowResume, StoreRequiresCache) {
 
 TEST(FlowResume, FaultInjectionWorksWithoutStore) {
   FlowSpec spec = fast_flow();
-  spec.fail_after_tiles = 1;
+  std::atomic<bool> flag;
+  crash_after(spec, 1, flag);
   Library lib = sref_chip();
   EXPECT_THROW(run_flat_opc(lib, "top", spec), FlowAborted);
 }
@@ -255,11 +303,13 @@ TEST(FlowResume, FingerprintCoversFlowKindAndKnobs) {
   b.store_path = "elsewhere.ocs";
   b.resume = true;
   EXPECT_EQ(flow_fingerprint(a, "flat"), flow_fingerprint(b, "flat"));
-  // The pattern-library knobs ARE mixed: near-match warm starts move the
-  // solver trajectory, so the corrected mask depends on them.
+  // The library's path is excluded too: it names a file, not a process
+  // setup, so a renamed library keeps its records.
   b = fast_flow();
   b.library_path = "patterns.ocl";
-  EXPECT_NE(flow_fingerprint(a, "flat"), flow_fingerprint(b, "flat"));
+  EXPECT_EQ(flow_fingerprint(a, "flat"), flow_fingerprint(b, "flat"));
+  // The budget IS mixed: near-match warm starts move the solver
+  // trajectory, so the corrected mask depends on it.
   b = fast_flow();
   b.library_budget = 0.25;
   EXPECT_NE(flow_fingerprint(a, "flat"), flow_fingerprint(b, "flat"));

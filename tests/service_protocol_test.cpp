@@ -101,7 +101,6 @@ opc::FlowSpec sample_spec() {
   spec.opc.max_iterations = 3;
   spec.halo_nm = 700;
   spec.jobs = 4;
-  spec.cache_symmetry = true;
   spec.flat_context_passes = 1;
   spec.mrc_deck.push_back(
       {mrc::CheckKind::kWidth, "mrc.width.120", geom::Coord{120}});

@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -203,6 +204,51 @@ TEST(Cli, FlowStoreResumeAndJsonStats) {
   std::remove(out_path.c_str());
   std::remove(store.c_str());
   std::remove(stats_path.c_str());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(Cli, LibraryRenameStillReplays) {
+  // A library's path is not part of the flow identity: renamed, or
+  // spelled with a ./ prefix, it still replays its records.
+  layout::Library lib("cli_rename");
+  lib.cell("only").add_rect(layout::layers::kPoly,
+                            geom::Rect(0, 0, 180, 1500));
+  const std::string dir = ::testing::TempDir();
+  const std::string in = dir + "/cli_rename_in.gds";
+  layout::write_gdsii_file(lib, in);
+  const std::string a = dir + "/cli_rename_a.ocl";
+  const std::string b = dir + "/cli_rename_b.ocl";
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+  const auto opc = [&in](const std::string& library, const std::string& out) {
+    return run_cli({"opc", "--in", in, "--out", out, "--layer", "10/0",
+                    "--flow", "cell", "--library", library});
+  };
+
+  const std::string first_out = dir + "/cli_rename_first.gds";
+  const auto first = opc(a, first_out);
+  ASSERT_EQ(first.code, 0) << first.err;
+  ASSERT_NE(first.out.find("library: 0 exact replay(s)"), std::string::npos)
+      << first.out;
+  ASSERT_EQ(std::rename(a.c_str(), b.c_str()), 0);
+
+  const std::string out = dir + "/cli_rename_again.gds";
+  for (const std::string& spelled :
+       {b, "./" + std::filesystem::relative(b).string()}) {
+    std::remove(out.c_str());
+    const auto r = opc(spelled, out);
+    EXPECT_EQ(r.code, 0) << spelled << ": " << r.err;
+    EXPECT_NE(r.out.find("library: 1 exact replay(s)"), std::string::npos)
+        << spelled << ": " << r.out;
+    EXPECT_EQ(read_file(out), read_file(first_out)) << spelled;
+  }
+  for (const std::string& path : {in, b, first_out, out}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(Cli, FlowTraceWritesChromeTraceJson) {

@@ -157,9 +157,7 @@ TEST(TraceFlow, FlowStatsEmbedTheRunsMetricsDelta) {
             stats.corrected_polygons);
   EXPECT_EQ(c.at(trace::metric::kFlowTilesMerged),
             stats.tile_simulations.size());
-  EXPECT_EQ(c.at(trace::metric::kCacheHits) +
-                c.at(trace::metric::kCacheSymmetryHits),
-            stats.cache_hits);
+  EXPECT_EQ(c.at(trace::metric::kCacheHits), stats.cache_hits);
   EXPECT_EQ(c.at(trace::metric::kCacheMisses), stats.cache_misses);
   // The litho instruments fired: every fresh solve images its tile.
   // Each latent image runs the mask spectrum's r2c, the imaging
