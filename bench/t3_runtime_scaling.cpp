@@ -309,25 +309,25 @@ layout::Library sref_chip(int eco = -1) {
   return lib;
 }
 
-/// Store sweep: the persistent correction store across process restarts.
-/// Arg 0 = cold run (store written, the one window class solved fresh),
-/// Arg 1 = warm resume on the unchanged chip (every window replayed from
-/// the store, zero simulations), Arg 2 = incremental ECO resume after
-/// widening one bar in 1 of the 16 placements (only the edited placement
-/// re-solves; store_hits counts the windows replayed from disk).
+/// Store sweep: the persistent pattern library across process restarts.
+/// Arg 0 = cold run (library written, the one window class solved
+/// fresh), Arg 1 = warm resume on the unchanged chip (every window
+/// replayed from the library, zero simulations), Arg 2 = incremental ECO
+/// resume after widening one bar in 1 of the 16 placements (only the
+/// edited placement re-solves; store_hits counts the windows replayed
+/// from disk).
 void BM_FlatFlowStore(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   const std::string path =
-      (std::filesystem::temp_directory_path() / "t3_store.ocs").string();
+      (std::filesystem::temp_directory_path() / "t3_store.ocl").string();
   opc::FlowSpec spec = flow_spec();
   spec.jobs = 1;
-  spec.store_path = path;
+  spec.library_path = path;
   std::filesystem::remove(path);
   if (mode != 0) {
-    // Warm/ECO resume from a store populated by an untimed cold run.
+    // Warm/ECO resume from a library populated by an untimed cold run.
     layout::Library base = sref_chip();
     opc::run_flat_opc(base, "top", spec);
-    spec.resume = true;
   }
   opc::FlowStats stats;
   for (auto _ : state) {
@@ -337,9 +337,10 @@ void BM_FlatFlowStore(benchmark::State& state) {
   }
   std::filesystem::remove(path);
   state.counters["opc_runs"] = static_cast<double>(stats.opc_runs);
-  state.counters["store_hits"] = static_cast<double>(stats.store_hits);
+  state.counters["store_hits"] =
+      static_cast<double>(stats.library_exact_hits);
   state.counters["appended"] =
-      static_cast<double>(stats.store_entries_appended);
+      static_cast<double>(stats.library_entries_appended);
 }
 BENCHMARK(BM_FlatFlowStore)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();

@@ -27,16 +27,6 @@ Transform CorrectionCache::canonical_transform(const Key& key) {
   return Transform(key.orientation, {0, 0}) * Transform(-key.anchor);
 }
 
-namespace {
-
-/// Layout frame -> canonical frame: translate the anchor to the origin,
-/// then apply the canonicalization witness orientation.
-Transform to_canonical(const CorrectionCache::Key& key) {
-  return CorrectionCache::canonical_transform(key);
-}
-
-}  // namespace
-
 CorrectionCache::Key CorrectionCache::make_key(
     const std::vector<Polygon>& targets, const Region& own_region,
     const Rect& frame) {
@@ -70,7 +60,7 @@ CorrectionCache::Resolution CorrectionCache::resolve(const Key& key) {
     bool mismatch = false;
     bool d4_match = false;
     for (std::size_t idx : bucket->second) {
-      const Entry& e = entries_[idx];
+      const store::TileRecord& e = entries_[idx].record;
       if (e.window_rects != key.window.rects ||
           e.own_rects != key.own_canonical || e.frame != key.frame) {
         // Same canonical hash, different geometry (collision), a
@@ -110,11 +100,11 @@ void CorrectionCache::store(std::size_t entry, const Key& key,
                             const std::vector<Polygon>& corrected) {
   OPCKIT_CHECK(entry < entries_.size());
   Entry& e = entries_[entry];
-  OPCKIT_DCHECK(e.window_rects == key.window.rects);
-  const Transform t = to_canonical(key);
-  e.solution.clear();
-  e.solution.reserve(corrected.size());
-  for (const Polygon& p : corrected) e.solution.push_back(t(p));
+  OPCKIT_DCHECK(e.record.window_rects == key.window.rects);
+  const Transform t = canonical_transform(key);
+  e.record.solution.clear();
+  e.record.solution.reserve(corrected.size());
+  for (const Polygon& p : corrected) e.record.solution.push_back(t(p));
   e.solved = true;
 }
 
@@ -123,47 +113,35 @@ std::vector<Polygon> CorrectionCache::fetch(std::size_t entry,
   OPCKIT_CHECK(entry < entries_.size());
   const Entry& e = entries_[entry];
   OPCKIT_CHECK_MSG(e.solved, "fetch before the representative stored");
-  const Transform t = to_canonical(key).inverted();
+  const Transform t = canonical_transform(key).inverted();
   std::vector<Polygon> out;
-  out.reserve(e.solution.size());
-  for (const Polygon& p : e.solution) out.push_back(t(p));
+  out.reserve(e.record.solution.size());
+  for (const Polygon& p : e.record.solution) out.push_back(t(p));
   return out;
 }
 
-store::TileRecord CorrectionCache::export_entry(std::size_t entry) const {
+const store::TileRecord& CorrectionCache::export_entry(
+    std::size_t entry) const {
   OPCKIT_CHECK(entry < entries_.size());
-  const Entry& e = entries_[entry];
-  OPCKIT_CHECK_MSG(e.solved, "export of an unsolved cache entry");
-  store::TileRecord rec;
-  rec.window_rects = e.window_rects;
-  rec.own_rects = e.own_rects;
-  rec.frame = e.frame;
-  rec.orientation = e.orientation;
-  rec.solution = e.solution;
-  return rec;
+  OPCKIT_CHECK_MSG(entries_[entry].solved,
+                   "export of an unsolved cache entry");
+  return entries_[entry].record;
 }
 
 std::size_t CorrectionCache::import_entry(const store::TileRecord& record) {
-  Entry e;
-  e.window_rects = record.window_rects;
-  e.own_rects = record.own_rects;
-  e.frame = record.frame;
-  e.orientation = record.orientation;
-  e.solution = record.solution;
-  e.solved = true;
-  entries_.push_back(std::move(e));
+  entries_.push_back({record, /*solved=*/true});
   const std::size_t idx = entries_.size() - 1;
   by_hash_[pat::hash_rects(record.window_rects)].push_back(idx);
   return idx;
 }
 
 std::size_t CorrectionCache::reserve(const Key& key) {
-  Entry e;
-  e.window_rects = key.window.rects;
-  e.own_rects = key.own_canonical;
-  e.frame = key.frame;
-  e.orientation = key.orientation;
-  entries_.push_back(std::move(e));
+  store::TileRecord rec;
+  rec.window_rects = key.window.rects;
+  rec.own_rects = key.own_canonical;
+  rec.frame = key.frame;
+  rec.orientation = key.orientation;
+  entries_.push_back({std::move(rec), /*solved=*/false});
   const std::size_t idx = entries_.size() - 1;
   by_hash_[key.window.hash].push_back(idx);
   return idx;

@@ -115,10 +115,10 @@ class CorrectionCache {
   /// Number of distinct window classes seen (solved or reserved).
   std::size_t size() const { return entries_.size(); }
 
-  /// Export a *solved* entry as a persistable record (canonical-frame
-  /// geometry and solution, verbatim). The record carries no layout
-  /// coordinates, so it replays into any placement of the class.
-  store::TileRecord export_entry(std::size_t entry) const;
+  /// A *solved* entry as the persistable record it is (canonical-frame
+  /// geometry and solution). The record carries no layout coordinates,
+  /// so it replays into any placement of the class.
+  const store::TileRecord& export_entry(std::size_t entry) const;
 
   /// Import a persisted record as a solved entry, recomputing the
   /// canonical hash from its window rects (`pat::hash_rects`) — a stored
@@ -136,12 +136,7 @@ class CorrectionCache {
 
  private:
   struct Entry {
-    std::vector<geom::Rect> window_rects;  ///< canonical window geometry
-    std::vector<geom::Rect> own_rects;     ///< canonical ownership split
-    geom::Rect frame = geom::Rect::empty();///< canonical simulation frame
-    geom::Orientation orientation =        ///< representative's witness
-        geom::Orientation::kR0;
-    std::vector<geom::Polygon> solution;   ///< corrected own, canonical frame
+    store::TileRecord record;  ///< identity + solution, canonical frame
     bool solved = false;
   };
 

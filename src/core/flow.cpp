@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -14,7 +13,6 @@
 #include "lint/lint.h"
 #include "pattern/feature.h"
 #include "pattern/library.h"
-#include "store/result_store.h"
 #include "trace/trace.h"
 #include "util/check.h"
 #include "util/strings.h"
@@ -179,39 +177,45 @@ void solve_tile_engine(const FlowSpec& spec, const litho::SimSpec& sim,
   }
 }
 
-/// The pattern-library side of a flow run: import entries for exact
-/// replay, retrieve near matches for warm starts, and accumulate fresh
-/// solves (with their seeds) back into the library. Used exclusively
-/// from the flow's serial phases, like StoreSession.
-class LibrarySession {
+/// The reuse side of a flow run: import the library (the library_path
+/// file or the daemon's snapshot) for exact replay, retrieve near
+/// matches for warm starts, and file fresh solves (with their seeds)
+/// into the file and the sink. Constructed and used exclusively from the
+/// flow's serial phases, so the TSan contract of the phases is
+/// untouched.
+class ReuseSession {
  public:
-  LibrarySession(const FlowSpec& spec, std::string_view flow_kind,
-                 CorrectionCache& cache, FlowStats& stats)
-      : budget_(spec.library_budget),
-        shared_(spec.library),
-        sink_(spec.library_sink) {
-    if (spec.library_path.empty() && shared_ == nullptr && !sink_) return;
+  ReuseSession(const FlowSpec& spec, std::string_view flow_kind,
+               CorrectionCache& cache, FlowStats& stats)
+      : budget_(spec.library_budget), sink_(spec.library_sink) {
+    if (spec.library_path.empty() && spec.library == nullptr && !sink_) {
+      return;
+    }
     if (!spec.cache) {
       throw util::InputError(
           "pattern library: FlowSpec::library_path/library/library_sink "
           "require the correction cache (FlowSpec::cache) — library "
           "entries are cache entries");
     }
-    if (!spec.library_path.empty()) {
-      lib_.emplace(pat::PatternLibrary::open(
-          spec.library_path, flow_fingerprint(spec, flow_kind),
-          /*sync_on_append=*/false));
-      import_lo_ = cache.size();
-      for (std::size_t i = 0; i < lib_->size(); ++i) {
-        cache.import_entry(lib_->record(i).tile);
-      }
-      import_hi_ = cache.size();
-      stats.library_entries_loaded += lib_->load_info().records_loaded;
-      stats.library_tail_recovered = lib_->load_info().tail_recovered;
-      trace::metrics()
-          .counter(trace::metric::kPatLibraryRecordsLoaded)
-          .add(lib_->load_info().records_loaded);
+    if (!spec.library_path.empty() && spec.library != nullptr) {
+      throw util::InputError(
+          "pattern library: FlowSpec::library_path and library are "
+          "exclusive — a run imports one library");
     }
+    source_ = spec.library;
+    if (!spec.library_path.empty()) {
+      file_.emplace(pat::PatternLibrary::open(
+          spec.library_path, flow_fingerprint(spec, flow_kind),
+          /*sync_on_append=*/false));  // throws InputError with the STO line
+      stats.library_tail_recovered = file_->tail_recovered();
+      source_ = &*file_;
+    }
+    if (source_ == nullptr) return;
+    for (std::size_t i = 0; i < source_->size(); ++i) {
+      cache.import_entry(source_->record(i).tile);
+    }
+    stats.library_entries_loaded = source_->size();
+    imported_ = cache.size();
   }
 
   /// Serial resolve phase, once per tile after the cache lookup: account
@@ -219,7 +223,9 @@ class LibrarySession {
   /// have a near match under the budget.
   void on_resolved(TileWork& t, FlowStats& stats) const {
     if (t.replay) {
-      if (t.res.entry >= import_lo_ && t.res.entry < import_hi_) {
+      // Imports happen before any in-run reservation, so entries below
+      // imported_ came from the library.
+      if (t.res.entry < imported_) {
         ++stats.library_exact_hits;
         trace::metrics()
             .counter(trace::metric::kPatLibraryExactHits)
@@ -227,11 +233,10 @@ class LibrarySession {
       }
       return;
     }
-    if (budget_ <= 0.0) return;
-    const pat::PatternLibrary* src = lib_ ? &*lib_ : shared_;
-    if (src == nullptr || src->size() == 0) return;
+    if (budget_ <= 0.0 || source_ == nullptr) return;
     const pat::PatternFeature query = pat::feature_of(t.key.window.rects);
-    const std::optional<pat::NearMatch> near = src->nearest(query, budget_);
+    const std::optional<pat::NearMatch> near =
+        source_->nearest(query, budget_);
     if (!near) return;
     // The retrieved seeds live in the matched entry's canonical frame;
     // similar patterns canonicalize into nearly aligned frames, so
@@ -241,8 +246,8 @@ class LibrarySession {
     const Transform from_canonical =
         CorrectionCache::canonical_transform(t.key).inverted();
     t.warm = true;
-    t.seeds.reserve(src->record(near->index).seeds.size());
-    for (const pat::WarmSeed& s : src->record(near->index).seeds) {
+    t.seeds.reserve(source_->record(near->index).seeds.size());
+    for (const pat::WarmSeed& s : source_->record(near->index).seeds) {
       t.seeds.push_back({from_canonical(s.site), s.offset});
     }
     ++stats.library_near_hits;
@@ -250,7 +255,9 @@ class LibrarySession {
   }
 
   /// Serial merge phase, once per freshly solved tile (after
-  /// cache.store()): persist the solve with its warm-start seeds.
+  /// cache.store()): file the solve with its warm-start seeds. ILT output
+  /// carries no fragment offsets, so an ILT tile is filed without seeds —
+  /// it replays, but never seeds a near match.
   void on_fresh_solve(const CorrectionCache& cache, const TileWork& t,
                       FlowStats& stats) {
     if (t.warm) {
@@ -259,33 +266,28 @@ class LibrarySession {
           .counter(trace::metric::kPatLibraryWarmIterations)
           .add(t.result.history.size());
     }
-    if (!lib_ && !sink_) return;
+    if (!file_ && !sink_) return;
     pat::LibraryRecord rec;
     rec.tile = cache.export_entry(t.res.entry);
-    const Transform to_canonical =
-        CorrectionCache::canonical_transform(t.key);
-    rec.seeds.reserve(t.result.seeds.size());
-    for (const pat::WarmSeed& s : t.result.seeds) {
-      rec.seeds.push_back({to_canonical(s.site), s.offset});
+    if (!t.ilt) {
+      const Transform to_canonical =
+          CorrectionCache::canonical_transform(t.key);
+      rec.seeds.reserve(t.result.seeds.size());
+      for (const pat::WarmSeed& s : t.result.seeds) {
+        rec.seeds.push_back({to_canonical(s.site), s.offset});
+      }
     }
-    if (lib_ && lib_->insert(rec)) {
-      ++stats.library_entries_appended;
-      trace::metrics()
-          .counter(trace::metric::kPatLibraryRecordsAppended)
-          .add();
-    }
+    if (file_ && file_->insert(rec)) ++stats.library_entries_appended;
     if (sink_) sink_(rec);
   }
 
  private:
   double budget_;
-  const pat::PatternLibrary* shared_;
   const std::function<void(const pat::LibraryRecord&)>& sink_;
-  std::optional<pat::PatternLibrary> lib_;
-  /// Cache entries in [import_lo_, import_hi_) came from the library
-  /// file — replays against them are library_exact_hits.
-  std::size_t import_lo_ = 0;
-  std::size_t import_hi_ = 0;
+  std::optional<pat::PatternLibrary> file_;  ///< the library_path file
+  const pat::PatternLibrary* source_ = nullptr;  ///< file_ or the snapshot
+  /// Cache entries below this index were imported from source_.
+  std::size_t imported_ = 0;
 };
 
 double elapsed_ms(std::chrono::steady_clock::time_point t0) {
@@ -313,81 +315,6 @@ class PhaseScope {
   trace::Span span_;
   const char* gauge_name_;
   std::chrono::steady_clock::time_point t0_;
-};
-
-/// The store side of a flow run: preload on resume and stream fresh
-/// solves from the serial merge phase. Constructed and used exclusively
-/// from the flow's serial sections, so the TSan contract of the phases
-/// is untouched.
-class StoreSession {
- public:
-  StoreSession(const FlowSpec& spec, std::string_view flow_kind,
-               CorrectionCache& cache, FlowStats& stats)
-      : sink_(spec.record_sink) {
-    // In-memory preload (the daemon's shared library) imports first, so
-    // its entries win representative selection over file records — both
-    // replay translation-exactly, so the choice cannot change output.
-    if (spec.preload) {
-      if (!spec.cache) {
-        throw util::InputError(
-            "correction store: FlowSpec::preload requires the correction "
-            "cache (FlowSpec::cache) — preloads are cache entries");
-      }
-      for (const store::TileRecord& rec : *spec.preload) {
-        cache.import_entry(rec);
-      }
-      stats.store_entries_loaded += spec.preload->size();
-    }
-    if (!spec.store_path.empty()) {
-      if (!spec.cache) {
-        throw util::InputError(
-            "correction store: store_path requires the correction cache "
-            "(FlowSpec::cache) — the store persists cache entries");
-      }
-      const std::uint64_t fp = flow_fingerprint(spec, flow_kind);
-      if (spec.resume && std::filesystem::exists(spec.store_path)) {
-        store::LoadResult loaded = store::ResultStore::load(
-            spec.store_path, fp);  // throws InputError with the STO line
-        for (const store::TileRecord& rec : loaded.records) {
-          cache.import_entry(rec);
-        }
-        stats.store_entries_loaded += loaded.records.size();
-        stats.store_tail_recovered = loaded.tail_recovered;
-        store_.emplace(
-            store::ResultStore::append_to(spec.store_path, loaded.valid_bytes));
-      } else {
-        store_.emplace(store::ResultStore::create(spec.store_path, fp));
-      }
-    }
-    preloaded_ = cache.size();
-  }
-
-  /// Tiles resolved against entries below this index replay *from the
-  /// store* (imports happen before any in-run reservation).
-  std::size_t preloaded() const { return preloaded_; }
-
-  /// Serial merge phase, once per merged tile: persist a fresh solve,
-  /// hand it to the record sink, and account a store replay.
-  void on_tile_merged(const CorrectionCache& cache, bool replay,
-                      std::size_t entry, FlowStats& stats) {
-    if (replay) {
-      // Entries below preloaded_ came from the store file or the
-      // in-memory preload — either way, reuse from a previous run.
-      if (entry < preloaded_) ++stats.store_hits;
-    } else if (store_ || sink_) {
-      store::TileRecord rec = cache.export_entry(entry);
-      if (store_) {
-        store_->append(rec);
-        ++stats.store_entries_appended;
-      }
-      if (sink_) sink_(rec);
-    }
-  }
-
- private:
-  std::optional<store::ResultStore> store_;
-  std::size_t preloaded_ = 0;
-  const std::function<void(const store::TileRecord&)>& sink_;
 };
 
 /// Driver-thread dispatch for the FlowSpec::cancel / FlowSpec::progress
@@ -596,10 +523,7 @@ FlowStats run_tiled(Library& lib, const FlowSpec& spec,
   std::vector<WorkUnit> units = flow.enumerate();
 
   CorrectionCache cache;
-  StoreSession store(spec, flow.kind, cache, stats);
-  // After StoreSession: store/preload entries precede library imports in
-  // every resolve bucket, so store_hits keep their pre-library meaning.
-  LibrarySession library(spec, flow.kind, cache, stats);
+  ReuseSession library(spec, flow.kind, cache, stats);
   TileExecutor exec(spec.jobs);
   JobHooks hooks(spec);
 
@@ -748,12 +672,9 @@ FlowStats run_tiled(Library& lib, const FlowSpec& spec,
           }
           if (spec.cache) {
             cache.store(t.res.entry, t.key, u.corrected);
-            // ILT output carries no fragment offsets, so there is nothing
-            // to seed warm starts from — the library append is model-only.
-            if (!t.ilt) library.on_fresh_solve(cache, t, stats);
+            library.on_fresh_solve(cache, t, stats);
           }
         }
-        store.on_tile_merged(cache, t.replay, t.res.entry, stats);
         hooks.tile_merged(pass, i + 1, units.size());
       }
     }
@@ -824,11 +745,6 @@ std::string render_stats_json(const FlowStats& stats) {
      << ",\"cache\":{\"hits\":" << stats.cache_hits
      << ",\"misses\":" << stats.cache_misses
      << ",\"conflicts\":" << stats.cache_conflicts << "}"
-     << ",\"store\":{\"hits\":" << stats.store_hits
-     << ",\"entries_loaded\":" << stats.store_entries_loaded
-     << ",\"entries_appended\":" << stats.store_entries_appended
-     << ",\"tail_recovered\":"
-     << (stats.store_tail_recovered ? "true" : "false") << "}"
      << ",\"library\":{\"exact_hits\":" << stats.library_exact_hits
      << ",\"near_hits\":" << stats.library_near_hits
      << ",\"entries_loaded\":" << stats.library_entries_loaded

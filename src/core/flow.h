@@ -52,12 +52,14 @@
 /// replay reproduces the fresh solve bit for bit, so enabling the cache
 /// does not change output geometry either — only the work done.
 ///
-/// The persistent correction store (FlowSpec::store_path, see
-/// store/result_store.h) makes that reuse durable: solved classes are
-/// streamed to disk from the serial merge phase and preloaded on resume,
-/// so a crashed run restarts from its last merged tile and an edited
-/// layout (ECO) re-solves only tiles whose halo neighborhood changed —
-/// both with output byte-identical to a from-scratch run.
+/// The pattern library (FlowSpec::library_path, see pattern/library.h)
+/// makes that reuse durable: solved classes are streamed to one file
+/// from the serial merge phase and imported by the next run, so a
+/// crashed run restarts from its last merged tile and an edited layout
+/// (ECO) re-solves only tiles whose halo neighborhood changed — both
+/// with output byte-identical to a from-scratch run. The same records
+/// warm-start near matches (FlowSpec::library_budget), and the daemon
+/// shares them across jobs (FlowSpec::library / library_sink).
 #pragma once
 
 #include <atomic>
@@ -73,7 +75,7 @@
 #include "ilt/ilt.h"
 #include "layout/library.h"
 #include "mrc/mrc.h"
-#include "store/result_store.h"
+#include "pattern/library.h"
 #include "trace/metrics.h"
 
 namespace opckit::opc {
@@ -126,19 +128,6 @@ struct FlowSpec {
   /// solutions are bit-identical to fresh solves, so this changes
   /// FlowStats (fewer opc_runs/simulations), never the output layer.
   bool cache = true;
-  /// Path of the persistent correction store (see store/result_store.h).
-  /// Empty (default) = no store. When set, every freshly solved pattern
-  /// class is appended (and flushed) from the serial merge phase, so a
-  /// crashed run leaves a valid store behind. Requires `cache`.
-  std::string store_path;
-  /// Preload `store_path` before correcting: previously solved classes
-  /// replay translation-exactly, so a resumed run's output is
-  /// byte-identical to an uninterrupted one, and an edited layout
-  /// re-solves only tiles whose halo neighborhood changed (ECO mode —
-  /// same mechanism, no diffing step). The store must carry the current
-  /// flow_fingerprint(); a mismatch aborts with an STO001 diagnostic.
-  /// If the file does not exist yet it is created (cold start).
-  bool resume = false;
   /// Post-OPC mask-rule signoff gate (see mrc/mrc.h). Empty (default) =
   /// gate off. When set, after the corrected output is written the
   /// scanline MRC engine sweeps it — per tile, in parallel, reusing the
@@ -155,15 +144,17 @@ struct FlowSpec {
   /// block. kWarn: the report is kept in FlowStats only.
   mrc::Action mrc_action = mrc::Action::kFail;
   /// Path of the persistent pattern library (see pattern/library.h).
-  /// Empty (default) = no library. When set, the library's entries are
-  /// imported for exact replay before correcting (like a store resume),
-  /// every freshly solved class is appended — with its warm-start seeds —
-  /// from the serial merge phase, and, when `library_budget` > 0, tiles
-  /// that miss the cache retrieve the nearest solved pattern to warm-start
-  /// from. The file must carry the current flow_fingerprint(); a mismatch
-  /// aborts. Requires `cache`. Not fingerprint-mixed: the path names a
-  /// file, not a process setup, so a renamed library still opens (see
-  /// flow_fingerprint()).
+  /// Empty (default) = no library. An existing file is imported before
+  /// correcting and its classes replay translation-exactly, so a run
+  /// resumed after a crash is byte-identical to an uninterrupted one and
+  /// an edited layout (ECO) re-solves only tiles whose halo neighborhood
+  /// changed; a missing file is created. Every fresh solve is appended,
+  /// with its warm-start seeds, from the serial merge phase, and with
+  /// `library_budget` > 0 cache misses warm-start from the nearest
+  /// solved pattern. A file written under another flow_fingerprint() is
+  /// refused (STO001); delete the file to start fresh. Requires `cache`;
+  /// excludes `library`. Not fingerprint-mixed: the path names a file,
+  /// not a process setup (see flow_fingerprint()).
   std::string library_path;
   /// Feature-space distance budget for near-match retrieval (see
   /// pat::feature_distance). 0 (default) disables near matching: the
@@ -187,26 +178,13 @@ struct FlowSpec {
   ilt::IltSpec ilt;
 
   // ---- Service hooks (src/service/) ------------------------------------
-  // Reuse plumbing and observability only: none of these can change the
-  // output geometry, so none reach flow_fingerprint().
+  // Reuse plumbing and observability only: none of these reach
+  // flow_fingerprint().
 
-  /// Records imported into this run's correction cache before any tile
-  /// resolves — the daemon's shared in-memory pattern library. Same
-  /// translation-exact replay semantics as a store resume, so the output
-  /// is byte-identical with or without a preload; replays from preloaded
-  /// entries count in FlowStats::store_hits and the import count lands in
-  /// store_entries_loaded. The pointee must stay alive and unmodified for
-  /// the whole run. Requires `cache`.
-  const std::vector<store::TileRecord>* preload = nullptr;
-  /// Called from the serial merge phase with the canonical-frame record
-  /// of every freshly solved pattern class — exactly the bytes a store
-  /// would append — so the daemon can feed solves back into its shared
-  /// library. Never invoked concurrently (serial phase only).
-  std::function<void(const store::TileRecord&)> record_sink;
   /// Cooperative cancellation: polled at every phase boundary and between
   /// merged tiles, on the driver thread; when it reads true the flow
   /// throws FlowAborted. Tiles already merged are durable under
-  /// store_path (their records are appended as they merge), so a
+  /// library_path (their records are appended as they merge), so a
   /// cancelled run resumes like a crashed one. Null (default) = never
   /// cancelled. An in-flight parallel phase finishes before the next
   /// poll — drain granularity is one phase, not one simulation.
@@ -215,25 +193,22 @@ struct FlowSpec {
   /// one per merged tile (see FlowProgress). Observability only.
   std::function<void(const FlowProgress&)> progress;
   /// The daemon's shared pattern library (an immutable clone_memory()
-  /// snapshot), used for near-match retrieval only — exact replay of
-  /// shared entries travels through `preload`, keeping store_hits
-  /// semantics unchanged. Ignored when library_budget is 0. The pointee
-  /// must stay alive and unmodified for the whole run. Note the retrieved
-  /// *content* shapes warm starts, hence the output (within tolerance):
-  /// unlike the other hooks this one is reuse of solver state, not pure
-  /// observability — the enabling knob (library_budget) is what reaches
-  /// the fingerprint.
+  /// snapshot), used like a `library_path` file minus the appends:
+  /// imported for exact replay, and searched for near matches when
+  /// library_budget > 0 — which is why that budget, not this pointer,
+  /// reaches the fingerprint. The pointee must stay alive and unmodified
+  /// for the whole run. Requires `cache`; excludes `library_path`.
   const pat::PatternLibrary* library = nullptr;
-  /// Called from the serial merge phase with the canonical-frame library
-  /// record (exact-replay tile + warm-start seeds) of every freshly
-  /// solved pattern class, so the daemon can feed solves back into its
-  /// shared library. Never invoked concurrently (serial phase only).
+  /// Called from the serial merge phase with the record of every freshly
+  /// solved pattern class — the record a `library_path` file appends —
+  /// so the daemon can feed solves back into its shared library. Never
+  /// invoked concurrently. Requires `cache`.
   std::function<void(const pat::LibraryRecord&)> library_sink;
 };
 
 /// Thrown when FlowSpec::cancel reads true at a poll — the same exit a
-/// crash between merged tiles would take. The store file is valid when
-/// it propagates.
+/// crash between merged tiles would take. The library file is valid
+/// when it propagates.
 class FlowAborted : public std::runtime_error {
  public:
   explicit FlowAborted(const std::string& what)
@@ -249,29 +224,21 @@ struct FlowStats {
   std::size_t cache_hits = 0;       ///< tiles replayed from the cache
   std::size_t cache_misses = 0;     ///< tiles solved fresh (first sighting)
   std::size_t cache_conflicts = 0;  ///< hash/ownership collisions (solved fresh)
-  /// Tiles replayed from entries *preloaded* from the store (a subset of
-  /// cache_hits; in-run reuse of a class first solved this run does not
-  /// count). The resume/ECO acceptance metric.
-  std::size_t store_hits = 0;
-  std::size_t store_entries_loaded = 0;    ///< records imported on resume
-  std::size_t store_entries_appended = 0;  ///< fresh solves persisted
-  /// True when the loaded store ended in a torn record that was dropped
-  /// and truncated (STO002) — the crash-recovery path, not an error.
-  bool store_tail_recovered = false;
-  /// Tiles replayed from entries imported from the pattern library file
-  /// (a subset of cache_hits, disjoint from store_hits: store and preload
-  /// imports take precedence in representative selection).
+  /// Tiles replayed from entries imported from the library — the
+  /// library_path file or the daemon's snapshot (a subset of cache_hits;
+  /// in-run reuse of a class first solved this run does not count). The
+  /// resume/ECO acceptance metric.
   std::size_t library_exact_hits = 0;
   /// Tiles solved fresh but warm-started from a near-match retrieval
   /// (library_budget > 0 and a solved pattern within the budget).
   std::size_t library_near_hits = 0;
-  std::size_t library_entries_loaded = 0;    ///< records loaded from the file
-  std::size_t library_entries_appended = 0;  ///< fresh solves inserted
+  std::size_t library_entries_loaded = 0;    ///< records imported
+  std::size_t library_entries_appended = 0;  ///< fresh solves filed
   /// Imaging iterations spent on warm-started tiles (a subset of
   /// `simulations`) — the numerator of the warm-start savings metric.
   std::size_t library_warm_iterations = 0;
-  /// True when the loaded library ended in a torn record that was dropped
-  /// and truncated — crash recovery, not an error.
+  /// True when the library file ended in a torn record that was dropped
+  /// and truncated (STO002) — the crash-recovery path, not an error.
   bool library_tail_recovered = false;
   /// Imaging iterations per work unit, in deterministic placement order
   /// (flat flow: placements × passes; cell flow: reachable cells with
@@ -338,21 +305,21 @@ class MrcGateError : public std::runtime_error {
 /// field core/flow_codec.h's field list marks mixed. Two specs with
 /// equal fingerprints produce interchangeable corrections for the same
 /// geometry; any difference must change the fingerprint so a stale
-/// store is refused (STO001) instead of silently replayed. Job count,
-/// cache, preflight, the MRC signoff deck/action, the store knobs and
-/// the service hooks are excluded: they cannot change output geometry.
+/// library is refused (STO001) instead of silently replayed. Job count,
+/// cache, preflight, the MRC signoff deck/action and the service hooks
+/// are excluded: they cannot change output geometry.
 ///
 /// Library identity: library_budget is mixed, because it turns on the
 /// warm starts that move the solver's trajectory; the library is not.
 /// Its path names a file, not a process setup, and its records sit
 /// behind its own header fingerprint — so a renamed library (or one
-/// spelled `./a.ocl`) and every store written with it stay valid. Warm
-/// starts only move the starting point; the convergence test holds.
+/// spelled `./a.ocl`) stays valid. Warm starts only move the starting
+/// point; the convergence test holds.
 std::uint64_t flow_fingerprint(const FlowSpec& spec,
                                std::string_view flow_kind);
 
 /// Machine-readable FlowStats rendering (stable single-line JSON) for
-/// the bench harness and CI: cache/store counters, worst EPEs, per-tile
+/// the bench harness and CI: cache/library counters, worst EPEs, per-tile
 /// simulation counts, wall_ms, and the embedded metrics snapshot.
 /// Doubles render with util::format_double (shortest round-trip,
 /// locale-independent — never ostream's 6-digit default, which truncates

@@ -9,8 +9,8 @@
 /// recipe, fragmentation, halo, layers, pass count, engine and ILT
 /// knobs, library_budget); *carried* fields are on the wire only (jobs,
 /// cache, preflight, the MRC signoff deck and action); *local* fields
-/// are neither (store_path, resume, library_path and the service hooks
-/// belong to the executing process). Member-count static_asserts below
+/// are neither (library_path and the service hooks belong to the
+/// executing process). Member-count static_asserts below
 /// the list fail the build when FlowSpec, or a struct nested in it,
 /// gains a member the list does not name.
 ///
@@ -163,11 +163,7 @@ void visit_flow_fields(Spec& s, Visit&& visit) {
   carried("mrc_deck", s.mrc_deck);
   carried("mrc_action", s.mrc_action);
 
-  local("store_path", s.store_path);
-  local("resume", s.resume);
   local("library_path", s.library_path);
-  local("preload", s.preload);
-  local("record_sink", s.record_sink);
   local("cancel", s.cancel);
   local("progress", s.progress);
   local("library", s.library);
@@ -194,7 +190,7 @@ consteval std::size_t member_count() {
 // A member added to FlowSpec, or to a struct nested in it, needs an
 // entry in visit_flow_fields() (an MRC check member, in the deck codec);
 // then update its count here.
-static_assert(member_count<FlowSpec>() == 24);
+static_assert(member_count<FlowSpec>() == 20);
 static_assert(member_count<ModelOpcSpec>() == 12);
 static_assert(member_count<FragmentationSpec>() == 4);
 static_assert(member_count<litho::SimSpec>() == 7);

@@ -86,24 +86,22 @@ constexpr CodeInfo kCodes[] = {
      "order the clamps: grid <= per-iter move <= total offset <= probe "
      "range"},
 
-    // The codes cover both files on the shared record framing: the
-    // correction store (.ocs) and the pattern library (.ocl).
+    // The codes cover the one reuse file: a pattern library (.ocl),
+    // written by `--library` or kept as a daemon shelf.
     {"STO001", Severity::kError,
-     "store or library file written under a different process fingerprint",
-     "rebuild it under the current model/deck/flow setup: rerun a store "
-     "without --resume, delete a library"},
+     "library file written under a different process fingerprint",
+     "rebuild it under the current model/deck/flow setup: delete it and "
+     "rerun"},
     {"STO002", Severity::kWarning,
-     "store or library file tail torn mid-record; partial record dropped",
+     "library file tail torn mid-record; partial record dropped",
      "no action needed — the interrupted tile is re-solved and the tail "
      "is truncated on the next append"},
     {"STO003", Severity::kError,
-     "store or library file header malformed or version unknown",
-     "the file is not one this build can read; delete it (and rerun a "
-     "store without --resume)"},
+     "library file header malformed or version unknown",
+     "the file is not one this build can read; delete it and rerun"},
     {"STO004", Severity::kError,
-     "store or library file record corrupt (checksum or structure)",
-     "the file is damaged beyond a torn tail; delete it (and rerun a "
-     "store without --resume)"},
+     "library file record corrupt (checksum or structure)",
+     "the file is damaged beyond a torn tail; delete it and rerun"},
 
     // Mask-rule signoff (scanline MRC engine, src/mrc). Each finding
     // carries the witness edges and measured distance in its message

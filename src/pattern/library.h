@@ -1,22 +1,23 @@
 /// \file library.h
 /// The persistent cross-run pattern library: solved (pattern → correction)
-/// entries with near-match retrieval.
+/// entries with exact replay and near-match retrieval.
 ///
 /// The run-local CorrectionCache answers "have I solved *exactly* this
-/// window before" (up to translation and, opt-in, D4). The library extends
-/// reuse across runs and across *similar* patterns:
+/// window before" (up to translation). The library extends reuse across
+/// runs and across *similar* patterns:
 ///
-///  - every entry carries the exact-replay payload (a store::TileRecord,
-///    importable into the CorrectionCache) plus the solved per-fragment
-///    warm-start seeds (canonical-frame sites and final normal offsets);
-///  - a feature-space index (feature.h) retrieves the nearest solved
-///    pattern under a caller-set distance budget, pruned by the triangle
+///  - every entry is a store::LibraryRecord: the exact-replay payload (a
+///    store::TileRecord, importable into the CorrectionCache) plus the
+///    solved per-fragment warm-start seeds (canonical-frame sites and
+///    final normal offsets);
+///  - a feature-space index (feature.h) retrieves the nearest seeded
+///    entry under a caller-set distance budget, pruned by the triangle
 ///    inequality on cached L2 norms — deterministic, ties broken by
-///    insertion order;
-///  - the on-disk format is the `.ocs` store's record framing
-///    (store/record_file.h) under its own magic: fingerprinted header,
-///    length-prefixed CRC32 records, torn-tail recovery on load, refusal
-///    on real corruption.
+///    insertion order. Entries without seeds (ILT solves) replay but are
+///    never retrieved;
+///  - the file is the one reuse format (store/result_store.h):
+///    fingerprinted header, length-prefixed CRC32 records, torn-tail
+///    recovery on load, refusal on real corruption.
 ///
 /// Thread safety: none. The flow touches the library only from its serial
 /// phases; the daemon serializes access under the CorrectionLibrary mutex
@@ -29,42 +30,17 @@
 #include <vector>
 
 #include "pattern/feature.h"
-#include "store/record_file.h"
 #include "store/result_store.h"
 
 namespace opckit::pat {
 
-/// One warm-start seed: a fragment evaluation site and the solved offset
-/// along the fragment's outward normal. The offset is a signed scalar in
-/// the normal direction, so it is invariant under the D4 frame maps the
-/// library stores entries in.
-struct WarmSeed {
-  geom::Point site;
-  geom::Coord offset = 0;
-
-  friend bool operator==(const WarmSeed&, const WarmSeed&) = default;
-};
-
-/// One library entry: the exact-replay tile record (canonical frame, as
-/// the correction store persists it) plus its warm-start seeds in the same
-/// canonical frame.
-struct LibraryRecord {
-  store::TileRecord tile;
-  std::vector<WarmSeed> seeds;
-
-  friend bool operator==(const LibraryRecord&, const LibraryRecord&) = default;
-};
+using store::LibraryRecord;
+using store::WarmSeed;
 
 /// A retrieval result: which entry, and how far in feature space.
 struct NearMatch {
   std::size_t index = 0;
   double distance = 0.0;
-};
-
-/// What loading an existing library file found.
-struct LibraryLoadInfo {
-  std::size_t records_loaded = 0;
-  bool tail_recovered = false;
 };
 
 /// The pattern library. Default-constructed instances are memory-only;
@@ -87,31 +63,34 @@ class PatternLibrary {
 
   std::size_t size() const { return records_.size(); }
   const LibraryRecord& record(std::size_t i) const { return records_[i]; }
-  const PatternFeature& feature(std::size_t i) const { return features_[i]; }
 
-  /// Nearest entry whose feature distance to \p query is <= \p budget,
-  /// or nullopt. Deterministic: exact distance comparison, ties broken
-  /// toward the smallest entry index.
+  /// Nearest seeded entry whose feature distance to \p query is <=
+  /// \p budget, or nullopt. Deterministic: exact distance comparison,
+  /// ties broken toward the smallest entry index.
   std::optional<NearMatch> nearest(const PatternFeature& query,
                                    double budget) const;
 
-  /// What open() found on disk (zeros for memory-only libraries).
-  const LibraryLoadInfo& load_info() const { return load_info_; }
+  /// True when open() found the file ending in a torn record, which it
+  /// dropped and truncated (STO002) — crash recovery, not an error.
+  bool tail_recovered() const { return tail_recovered_; }
 
   /// Detached memory-only copy of all entries and the index (no file
   /// handle) — safe to share read-only across threads.
   PatternLibrary clone_memory() const;
 
  private:
+  /// Append \p rec to the entries and, when it has seeds, to the index.
+  void add(LibraryRecord rec, std::uint64_t window_hash);
+
   std::vector<LibraryRecord> records_;
   std::vector<PatternFeature> features_;
-  /// (norm, index), sorted by norm then index — the pruned scan order.
+  /// (norm, index) of the seeded entries, sorted by norm then index —
+  /// the pruned scan order.
   std::vector<std::pair<double, std::size_t>> by_norm_;
-  /// Window-rect hashes as a dedup prefilter (same discipline as the
-  /// daemon's CorrectionLibrary).
+  /// Window-rect hashes as a dedup prefilter.
   std::vector<std::uint64_t> window_hashes_;
-  LibraryLoadInfo load_info_;
-  std::optional<store::RecordWriter> writer_;  ///< file-backed only
+  bool tail_recovered_ = false;
+  std::optional<store::ResultStore> file_;  ///< file-backed only
 };
 
 }  // namespace opckit::pat

@@ -3,9 +3,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "pattern/canonical.h"
-#include "util/check.h"
-
 namespace opckit::svc {
 namespace {
 
@@ -26,93 +23,40 @@ std::string fingerprint_hex(std::uint64_t fingerprint) {
 std::string CorrectionLibrary::path_for(std::uint64_t fingerprint) const {
   if (opts_.dir.empty()) return {};
   return (std::filesystem::path(opts_.dir) /
-          (fingerprint_hex(fingerprint) + ".ocs"))
-      .string();
-}
-
-std::string CorrectionLibrary::pattern_path_for(
-    std::uint64_t fingerprint) const {
-  if (opts_.dir.empty()) return {};
-  return (std::filesystem::path(opts_.dir) /
           (fingerprint_hex(fingerprint) + ".ocl"))
       .string();
 }
 
-CorrectionLibrary::Shelf& CorrectionLibrary::shelf_locked(
+pat::PatternLibrary& CorrectionLibrary::shelf_locked(
     std::uint64_t fingerprint) {
   auto it = shelves_.find(fingerprint);
   if (it != shelves_.end()) return it->second;
-
-  Shelf& shelf = shelves_[fingerprint];
-  if (opts_.dir.empty()) return shelf;
-
+  if (opts_.dir.empty()) return shelves_[fingerprint];
+  // Daemon restart / crash resume: open() adopts whatever the
+  // predecessor persisted (torn tails recover per the file's contract)
+  // and keeps appending after the last valid record.
   std::filesystem::create_directories(opts_.dir);
-  const std::string path = path_for(fingerprint);
-  if (std::filesystem::exists(path)) {
-    // Daemon restart / crash resume: adopt whatever the predecessor
-    // persisted (torn tails recover per the store contract) and keep
-    // appending after the last valid record.
-    store::LoadResult loaded = store::ResultStore::load(path, fingerprint);
-    shelf.records = std::move(loaded.records);
-    for (std::size_t i = 0; i < shelf.records.size(); ++i) {
-      shelf.by_hash[pat::hash_rects(shelf.records[i].window_rects)]
-          .push_back(i);
-    }
-    shelf.store = store::ResultStore::append_to(path, loaded.valid_bytes,
-                                                opts_.sync_on_append);
-  } else {
-    shelf.store =
-        store::ResultStore::create(path, fingerprint, opts_.sync_on_append);
-  }
-  // The near-match index persists (and restart-loads) the same way —
-  // open() handles both the cold-start and the crash-resume path.
-  shelf.patterns = pat::PatternLibrary::open(
-      pattern_path_for(fingerprint), fingerprint, opts_.sync_on_append);
-  return shelf;
+  return shelves_
+      .emplace(fingerprint,
+               pat::PatternLibrary::open(path_for(fingerprint), fingerprint,
+                                         opts_.sync_on_append))
+      .first->second;
 }
 
-std::vector<store::TileRecord> CorrectionLibrary::snapshot(
-    std::uint64_t fingerprint) {
+pat::PatternLibrary CorrectionLibrary::snapshot(std::uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return shelf_locked(fingerprint).records;
+  return shelf_locked(fingerprint).clone_memory();
 }
 
 void CorrectionLibrary::add(std::uint64_t fingerprint,
-                            const store::TileRecord& record) {
+                            const pat::LibraryRecord& rec) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Shelf& shelf = shelf_locked(fingerprint);
-  const std::uint64_t h = pat::hash_rects(record.window_rects);
-  auto it = shelf.by_hash.find(h);
-  if (it != shelf.by_hash.end()) {
-    for (std::size_t idx : it->second) {
-      if (shelf.records[idx] == record) return;  // already shelved
-    }
-  }
-  shelf.by_hash[h].push_back(shelf.records.size());
-  shelf.records.push_back(record);
-  if (shelf.store) shelf.store->append(record);
+  shelf_locked(fingerprint).insert(rec);
 }
 
 std::size_t CorrectionLibrary::size(std::uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return shelf_locked(fingerprint).records.size();
-}
-
-pat::PatternLibrary CorrectionLibrary::pattern_snapshot(
-    std::uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shelf_locked(fingerprint).patterns.clone_memory();
-}
-
-void CorrectionLibrary::add_pattern(std::uint64_t fingerprint,
-                                    const pat::LibraryRecord& rec) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  shelf_locked(fingerprint).patterns.insert(rec);
-}
-
-std::size_t CorrectionLibrary::pattern_count(std::uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shelf_locked(fingerprint).patterns.size();
+  return shelf_locked(fingerprint).size();
 }
 
 }  // namespace opckit::svc

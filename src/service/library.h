@@ -1,14 +1,16 @@
 /// \file library.h
-/// The daemon's shared pattern-correction library: the cross-job,
-/// cross-client reuse layer that makes opcd more than a socket wrapper.
+/// The daemon's shared pattern library: the cross-job, cross-client
+/// reuse layer that makes opcd more than a socket wrapper.
 ///
 /// A single-process flow only reuses corrections within its own
-/// CorrectionCache (and, with a store, across its own restarts). The
-/// daemon instead keeps one shelf of solved pattern classes per flow
-/// fingerprint, feeds a snapshot into every job as FlowSpec::preload,
-/// and collects every fresh solve back through FlowSpec::record_sink —
-/// so the thousandth request for a repetitive layout family replays
-/// almost everything, regardless of which client submitted the first.
+/// CorrectionCache (and, with a library file, across its own restarts).
+/// The daemon instead keeps one shelf of solved pattern classes per flow
+/// fingerprint — a pat::PatternLibrary — feeds a snapshot of it into
+/// every job as FlowSpec::library, and collects every fresh solve back
+/// through FlowSpec::library_sink — so the thousandth request for a
+/// repetitive layout family replays almost everything, regardless of
+/// which client submitted the first, and a job with library_budget > 0
+/// warm-starts its misses from the nearest solved pattern.
 ///
 /// ## Why snapshots, not a shared cache
 ///
@@ -17,44 +19,31 @@
 /// shelf at admission time and their own private cache. Records solved
 /// by job A while job B runs simply miss B's snapshot and are re-solved
 /// — a bounded duplication cost, never a correctness issue, because
-/// replay is translation-exact: preloading more or fewer records cannot
-/// change any job's output bytes. add() deduplicates by full record
-/// equality, so the shelf converges to one record per pattern class.
+/// replay is translation-exact: importing more or fewer records cannot
+/// change any job's output bytes. add() deduplicates by tile equality,
+/// so the shelf converges to one record per pattern class.
 ///
 /// ## Durability and crash resume
 ///
-/// With a directory configured, each shelf is backed by
-/// `<dir>/<fingerprint-hex>.ocs` — the standard correction store format,
-/// fsynced per append (store::ResultStore sync_on_append) so a record
-/// acknowledged to any client survives a daemon crash. The first job
-/// under a fingerprint loads the existing file (torn tails recover per
-/// the store contract), which is exactly the daemon restart path: a new
-/// opcd over the same library directory replays everything its
-/// predecessor solved, byte-identical to an uninterrupted process.
-/// Fingerprint-keyed file names make cross-setup replay structurally
-/// impossible, on top of the store's own STO001 gate.
-///
-/// ## Near-match retrieval
-///
-/// Each shelf additionally keeps a pat::PatternLibrary — the same solves
-/// with their warm-start seeds, indexed in feature space — persisted to
-/// `<dir>/<fingerprint-hex>.ocl` alongside the .ocs file. Jobs that
-/// submit a library_budget > 0 get an immutable clone (FlowSpec::library)
-/// so tiles that miss exact replay can warm-start from the nearest
-/// solved pattern, and feed fresh solves back through
-/// FlowSpec::library_sink. Seeds survive restarts like the records do.
+/// With a directory configured, each shelf is backed by one file,
+/// `<dir>/<fingerprint-hex>.ocl` — the pattern library's own format
+/// (store/result_store.h), fsynced per append so a record acknowledged
+/// to any client survives a daemon crash. Each fresh solve costs one
+/// deduplicated append and one fsync. The first job under a fingerprint
+/// loads the existing file (torn tails recover per the file's contract),
+/// which is exactly the daemon restart path: a new opcd over the same
+/// library directory replays everything its predecessor solved,
+/// byte-identical to an uninterrupted process. Fingerprint-keyed file
+/// names make cross-setup replay structurally impossible, on top of the
+/// file's own STO001 gate.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "pattern/library.h"
-#include "store/result_store.h"
 
 namespace opckit::svc {
 
@@ -64,7 +53,7 @@ namespace opckit::svc {
 class CorrectionLibrary {
  public:
   struct Options {
-    /// Directory for the per-fingerprint .ocs files. Empty = memory-only
+    /// Directory for the per-fingerprint .ocl files. Empty = memory-only
     /// (no durability, no crash resume) — tests and throwaway servers.
     std::string dir;
     /// fsync per appended record (the daemon default). See
@@ -74,57 +63,41 @@ class CorrectionLibrary {
 
   explicit CorrectionLibrary(Options opts) : opts_(std::move(opts)) {}
 
-  /// Copy of the shelf for \p fingerprint, loading its .ocs file on
-  /// first touch (the crash-resume path). The copy is the caller's to
-  /// keep alive for the duration of a run (FlowSpec::preload points at
-  /// it).
-  std::vector<store::TileRecord> snapshot(std::uint64_t fingerprint);
+  /// Immutable clone of the shelf for \p fingerprint, loading its .ocl
+  /// file on first touch (the crash-resume path). The clone is the
+  /// caller's to keep alive for the duration of a run (FlowSpec::library
+  /// points at it).
+  pat::PatternLibrary snapshot(std::uint64_t fingerprint);
+  /// snapshot(); kept only until the benchmark, which still calls it by
+  /// this name, drops it.
+  pat::PatternLibrary pattern_snapshot(std::uint64_t fingerprint) {
+    return snapshot(fingerprint);
+  }
 
-  /// Insert one freshly solved record: deduplicated by full record
-  /// equality, appended (and fsynced, per Options) to the shelf's file.
-  /// Safe from concurrent jobs' merge phases.
-  void add(std::uint64_t fingerprint, const store::TileRecord& record);
+  /// Insert one freshly solved record (exact-replay tile + warm-start
+  /// seeds): deduplicated by tile equality, appended (and fsynced, per
+  /// Options) to the shelf's file. Safe from concurrent jobs' merge
+  /// phases.
+  void add(std::uint64_t fingerprint, const pat::LibraryRecord& rec);
 
   /// Records currently shelved for \p fingerprint (loads on first touch).
   std::size_t size(std::uint64_t fingerprint);
 
-  /// Immutable clone of the shelf's pattern library (near-match index +
-  /// warm-start seeds), loading its .ocl file on first touch. The clone
-  /// is the caller's to keep alive for a run (FlowSpec::library points
-  /// at it).
-  pat::PatternLibrary pattern_snapshot(std::uint64_t fingerprint);
-
-  /// Insert one freshly solved library record (exact-replay tile +
-  /// warm-start seeds): deduplicated by tile equality, appended (and
-  /// fsynced, per Options) to the shelf's .ocl file. Safe from
-  /// concurrent jobs' merge phases.
-  void add_pattern(std::uint64_t fingerprint, const pat::LibraryRecord& rec);
-
-  /// Pattern-library entries shelved for \p fingerprint.
-  std::size_t pattern_count(std::uint64_t fingerprint);
-
-  /// The backing .ocs file for \p fingerprint; empty when memory-only.
+  /// The backing .ocl file for \p fingerprint; empty when memory-only.
   std::string path_for(std::uint64_t fingerprint) const;
-
-  /// The backing .ocl pattern-library file; empty when memory-only.
-  std::string pattern_path_for(std::uint64_t fingerprint) const;
+  /// path_for(); kept only until the benchmark, which still calls it by
+  /// this name, drops it.
+  std::string pattern_path_for(std::uint64_t fingerprint) const {
+    return path_for(fingerprint);
+  }
 
  private:
-  struct Shelf {
-    std::vector<store::TileRecord> records;
-    /// window-geometry hash -> record indices (dedup prefilter).
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_hash;
-    std::optional<store::ResultStore> store;
-    /// Near-match retrieval index (file-backed under Options::dir).
-    pat::PatternLibrary patterns;
-  };
-
   /// Get-or-load the shelf. Caller holds mutex_.
-  Shelf& shelf_locked(std::uint64_t fingerprint);
+  pat::PatternLibrary& shelf_locked(std::uint64_t fingerprint);
 
   Options opts_;
   std::mutex mutex_;
-  std::map<std::uint64_t, Shelf> shelves_;
+  std::map<std::uint64_t, pat::PatternLibrary> shelves_;
 };
 
 }  // namespace opckit::svc

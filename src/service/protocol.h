@@ -10,7 +10,7 @@
 ///   u16    message type (MsgType)
 ///   u32    payload length L  (<= kMaxPayloadBytes)
 /// u8[L]    payload — per-message encoding, see the *Msg structs
-/// u32      crc32(payload)    — IEEE 802.3, the .ocs store polynomial
+/// u32      crc32(payload)    — IEEE 802.3, the .ocl library polynomial
 /// ```
 ///
 /// The framing reuses the correction store's integrity discipline

@@ -235,25 +235,18 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
     const char* kind = job->msg.flow == 1 ? "cell" : "flat";
 
     // The daemon owns durability through the shared library, never
-    // through a per-job store or pattern-library file — two concurrent
-    // jobs with equal fingerprints must not append to one file from two
-    // caches. The wire carries no host-local field (core/flow_codec.h),
-    // so a decoded spec names no store or library file to begin with.
+    // through a per-job library file — two concurrent jobs with equal
+    // fingerprints must not append to one file from two caches. The wire
+    // carries no host-local field (core/flow_codec.h), so a decoded spec
+    // names no library file to begin with.
     const std::uint64_t fp = opc::flow_fingerprint(spec, kind);
 
-    const std::vector<store::TileRecord> shelf = library_.snapshot(fp);
-    if (spec.cache && !shelf.empty()) spec.preload = &shelf;
-    pat::PatternLibrary patterns;
-    if (spec.cache && spec.library_budget > 0.0) {
-      patterns = library_.pattern_snapshot(fp);
-      if (patterns.size() > 0) spec.library = &patterns;
-    }
+    pat::PatternLibrary shelf;
     if (spec.cache) {
-      spec.record_sink = [this, fp](const store::TileRecord& rec) {
-        library_.add(fp, rec);
-      };
+      shelf = library_.snapshot(fp);
+      if (shelf.size() > 0) spec.library = &shelf;
       spec.library_sink = [this, fp](const pat::LibraryRecord& rec) {
-        library_.add_pattern(fp, rec);
+        library_.add(fp, rec);
       };
     }
     spec.cancel = &job->cancel;

@@ -37,7 +37,7 @@
 /// its next phase boundary with FlowAborted and the client gets a
 /// failed ResultMsg. stop() then joins everything. A daemon that
 /// crashes instead of draining restarts cleanly: the library directory
-/// replays its .ocs shelves (torn tails recover per the store contract)
+/// replays its .ocl shelves (torn tails recover per the file's contract)
 /// and re-submitted jobs produce byte-identical output.
 ///
 /// ## Metrics

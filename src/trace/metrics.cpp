@@ -38,11 +38,13 @@ constexpr std::array kMetricTable = {
     MetricInfo{metric::kCacheConflicts, MetricKind::kCounter,
                "correction-cache collisions/ownership mismatches"},
     MetricInfo{metric::kStoreRecordsAppended, MetricKind::kCounter,
-               "pattern-class records appended to a correction store"},
+               "records appended to a pattern-library file or daemon shelf"},
     MetricInfo{metric::kStoreRecordsLoaded, MetricKind::kCounter,
-               "records imported from a correction store on resume"},
+               "records loaded from a pattern-library file or daemon shelf"},
+    MetricInfo{metric::kStoreRecordsSynced, MetricKind::kCounter,
+               "appended records fsynced before returning (daemon shelves)"},
     MetricInfo{metric::kStoreRecoveredTailBytes, MetricKind::kCounter,
-               "torn-tail bytes dropped by store crash recovery (STO002)"},
+               "torn-tail bytes dropped by library crash recovery (STO002)"},
     MetricInfo{metric::kLithoAerialImages, MetricKind::kCounter,
                "aerial images computed (Abbe or SOCS imaging engine)"},
     MetricInfo{metric::kLithoFft2dTransforms, MetricKind::kCounter,
@@ -103,12 +105,8 @@ constexpr std::array kMetricTable = {
                "correction/kernel/plan cache hits summed across daemon jobs"},
     MetricInfo{metric::kSvcCacheLookups, MetricKind::kCounter,
                "correction/kernel/plan cache lookups across daemon jobs"},
-    MetricInfo{metric::kPatLibraryRecordsLoaded, MetricKind::kCounter,
-               "records loaded from a pattern-library file at flow start"},
-    MetricInfo{metric::kPatLibraryRecordsAppended, MetricKind::kCounter,
-               "fresh solves inserted into a pattern-library file"},
     MetricInfo{metric::kPatLibraryExactHits, MetricKind::kCounter,
-               "tiles replayed exactly from library-imported entries"},
+               "tiles replayed exactly from a library file or daemon shelf"},
     MetricInfo{metric::kPatLibraryNearHits, MetricKind::kCounter,
                "tiles warm-started from a near-match library retrieval"},
     MetricInfo{metric::kPatLibraryWarmIterations, MetricKind::kCounter,

@@ -75,6 +75,7 @@ inline constexpr const char* kCacheMisses = "cache.misses";
 inline constexpr const char* kCacheConflicts = "cache.conflicts";
 inline constexpr const char* kStoreRecordsAppended = "store.records_appended";
 inline constexpr const char* kStoreRecordsLoaded = "store.records_loaded";
+inline constexpr const char* kStoreRecordsSynced = "store.records_synced";
 inline constexpr const char* kStoreRecoveredTailBytes =
     "store.recovered_tail_bytes";
 inline constexpr const char* kLithoAerialImages = "litho.aerial_images";
@@ -114,12 +115,8 @@ inline constexpr const char* kSvcJobLatencyMs = "svc.job_latency_ms";
 inline constexpr const char* kSvcProtocolErrors = "svc.protocol_errors";
 inline constexpr const char* kSvcCacheHits = "svc.cache_hits";
 inline constexpr const char* kSvcCacheLookups = "svc.cache_lookups";
-// Pattern-library (cross-run near-match retrieval) series — see
-// pattern/library.h and the flow's LibrarySession for when each fires.
-inline constexpr const char* kPatLibraryRecordsLoaded =
-    "pat.library_records_loaded";
-inline constexpr const char* kPatLibraryRecordsAppended =
-    "pat.library_records_appended";
+// Pattern-library reuse series — see the flow's ReuseSession for when
+// each fires; the file's own loads and appends count under store.*.
 inline constexpr const char* kPatLibraryExactHits = "pat.library_exact_hits";
 inline constexpr const char* kPatLibraryNearHits = "pat.library_near_hits";
 inline constexpr const char* kPatLibraryWarmIterations =

@@ -100,11 +100,10 @@ TEST(FlowFieldList, NamesEachFieldOnce) {
   for (const FieldRef& f : fields) {
     EXPECT_TRUE(names.insert(f.name).second) << f.name << " listed twice";
   }
-  // The library's path and the store knobs are host-local: off the wire
-  // and out of the identity.
+  // The library's path is host-local: off the wire and out of the
+  // identity.
   for (const FieldRef& f : fields) {
-    if (f.name == "library_path" || f.name == "store_path" ||
-        f.name == "resume") {
+    if (f.name == "library_path") {
       EXPECT_EQ(f.role, FieldRole::kLocal) << f.name;
     }
     if (f.name == "library_budget") {

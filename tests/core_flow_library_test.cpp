@@ -273,8 +273,22 @@ TEST(FlowLibrary, SharedSnapshotAndSinkMirrorTheFilePath) {
   const FlowStats s = run_flat_opc(jit, "top", warm);
   EXPECT_EQ(s.library_near_hits, 1u);
   EXPECT_GT(s.library_warm_iterations, 0u);
-  EXPECT_EQ(s.library_entries_loaded, 0u);
+  // The snapshot's entry is imported for exact replay, like a file's;
+  // nothing is appended to a file.
+  EXPECT_EQ(s.library_entries_loaded, 1u);
   EXPECT_EQ(s.library_entries_appended, 0u);
+}
+
+TEST(FlowLibrary, FileAndSnapshotAreExclusive) {
+  // One run imports one library: a file and a daemon snapshot together
+  // are refused before any work.
+  const pat::PatternLibrary shared;
+  FlowSpec spec = fast_flow();
+  spec.library_path = lib_path("flowlib_both.ocl");
+  spec.library = &shared;
+  Library lib = iso_chip();
+  EXPECT_THROW(run_flat_opc(lib, "top", spec), util::InputError);
+  EXPECT_FALSE(std::filesystem::exists(spec.library_path));
 }
 
 TEST(FlowLibrary, TornLibraryTailRecoversAndResolves) {

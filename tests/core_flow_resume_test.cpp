@@ -1,5 +1,6 @@
 /// Crash-recovery, resume, and incremental-ECO regression tests for the
-/// persistent correction store (FlowSpec::store_path / resume).
+/// persistent pattern library (FlowSpec::library_path): a rerun over the
+/// same file resumes.
 ///
 /// Named FlowResume* so tools/ci.sh can select them (with the
 /// ThreadPool/FlowParallel tests) for the thread-sanitizer job; carried
@@ -8,8 +9,10 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 
 #include "core/flow.h"
+#include "layout/gdsii.h"
 #include "layout/generators.h"
 #include "store/result_store.h"
 #include "util/check.h"
@@ -73,7 +76,7 @@ std::vector<geom::Polygon> output_polys(const Library& lib,
   return {shapes.begin(), shapes.end()};
 }
 
-std::string store_path(const std::string& name) {
+std::string library_file(const std::string& name) {
   const std::string path = ::testing::TempDir() + "/" + name;
   std::filesystem::remove(path);
   return path;
@@ -82,7 +85,7 @@ std::string store_path(const std::string& name) {
 /// Models a crash once \p tiles tiles have merged: a progress handler
 /// counts merged tiles across passes (FlowProgress::tiles_done restarts
 /// each pass) and raises \p flag, which the flow's cancel hook polls
-/// before it merges the next tile — so the store holds exactly the
+/// before it merges the next tile — so the library holds exactly the
 /// records of the \p tiles merged tiles when FlowAborted propagates.
 void crash_after(FlowSpec& spec, std::size_t tiles, std::atomic<bool>& flag) {
   flag = false;
@@ -98,20 +101,20 @@ void crash_after(FlowSpec& spec, std::size_t tiles, std::atomic<bool>& flag) {
 TEST(FlowResume, FlatCrashThenResumeIsByteIdentical) {
   FlowSpec spec = fast_flow();
 
-  // Uninterrupted reference run (no store).
+  // Uninterrupted reference run (no library).
   Library ref_lib = dense_chip(2, 2);
   const FlowStats ref = run_flat_opc(ref_lib, "top", spec);
   const auto ref_out = output_polys(ref_lib, "top", spec);
   ASSERT_FALSE(ref_out.empty());
   ASSERT_EQ(ref.opc_runs, 8u);  // 4 context-coupled placements x 2 passes
 
-  // Per job count: "crash" after 3 merged tiles with the store attached,
-  // then restart with resume — byte-identical output, only the unsolved
-  // tiles re-run.
-  spec.store_path = store_path("flow_crash_flat.ocs");
+  // Per job count: "crash" after 3 merged tiles with the library
+  // attached, then rerun over it — byte-identical output, only the
+  // unsolved tiles re-run.
+  spec.library_path = library_file("flow_crash_flat.ocl");
   for (int jobs : {1, 8}) {
     spec.jobs = jobs;
-    std::filesystem::remove(spec.store_path);
+    std::filesystem::remove(spec.library_path);
     {
       FlowSpec crash = spec;
       std::atomic<bool> flag;
@@ -119,13 +122,11 @@ TEST(FlowResume, FlatCrashThenResumeIsByteIdentical) {
       Library lib = dense_chip(2, 2);
       EXPECT_THROW(run_flat_opc(lib, "top", crash), FlowAborted);
     }
-    FlowSpec resume = spec;
-    resume.resume = true;
     Library lib = dense_chip(2, 2);
-    const FlowStats s = run_flat_opc(lib, "top", resume);
-    EXPECT_EQ(output_polys(lib, "top", resume), ref_out) << "jobs=" << jobs;
-    EXPECT_EQ(s.store_entries_loaded, 3u) << "jobs=" << jobs;
-    EXPECT_EQ(s.store_hits, 3u) << "jobs=" << jobs;
+    const FlowStats s = run_flat_opc(lib, "top", spec);
+    EXPECT_EQ(output_polys(lib, "top", spec), ref_out) << "jobs=" << jobs;
+    EXPECT_EQ(s.library_entries_loaded, 3u) << "jobs=" << jobs;
+    EXPECT_EQ(s.library_exact_hits, 3u) << "jobs=" << jobs;
     EXPECT_EQ(s.opc_runs, 5u) << "jobs=" << jobs;
   }
 }
@@ -152,10 +153,10 @@ TEST(FlowResume, CellCrashThenResumeIsByteIdentical) {
   const auto ref_leaf2 = output_polys(ref_lib, "leaf2", spec);
   ASSERT_FALSE(ref_leaf.empty());
 
-  spec.store_path = store_path("flow_crash_cell.ocs");
+  spec.library_path = library_file("flow_crash_cell.ocl");
   for (int jobs : {1, 8}) {
     spec.jobs = jobs;
-    std::filesystem::remove(spec.store_path);
+    std::filesystem::remove(spec.library_path);
     {
       FlowSpec crash = spec;
       std::atomic<bool> flag;
@@ -163,58 +164,53 @@ TEST(FlowResume, CellCrashThenResumeIsByteIdentical) {
       Library lib = build();
       EXPECT_THROW(run_cell_opc(lib, "top", crash), FlowAborted);
     }
-    FlowSpec resume = spec;
-    resume.resume = true;
     Library lib = build();
-    const FlowStats s = run_cell_opc(lib, "top", resume);
-    EXPECT_EQ(output_polys(lib, "leaf", resume), ref_leaf)
+    const FlowStats s = run_cell_opc(lib, "top", spec);
+    EXPECT_EQ(output_polys(lib, "leaf", spec), ref_leaf) << "jobs=" << jobs;
+    EXPECT_EQ(output_polys(lib, "leaf2", spec), ref_leaf2)
         << "jobs=" << jobs;
-    EXPECT_EQ(output_polys(lib, "leaf2", resume), ref_leaf2)
-        << "jobs=" << jobs;
-    EXPECT_EQ(s.store_entries_loaded, 1u) << "jobs=" << jobs;
-    EXPECT_EQ(s.store_hits, 1u) << "jobs=" << jobs;
+    EXPECT_EQ(s.library_entries_loaded, 1u) << "jobs=" << jobs;
+    EXPECT_EQ(s.library_exact_hits, 1u) << "jobs=" << jobs;
     EXPECT_EQ(s.opc_runs, 1u) << "jobs=" << jobs;
   }
 }
 
 TEST(FlowResume, WarmStoreReplaysWholeChip) {
   FlowSpec spec = fast_flow();
-  spec.store_path = store_path("flow_warm.ocs");
+  spec.library_path = library_file("flow_warm.ocl");
 
   Library cold = sref_chip();
   const FlowStats first = run_flat_opc(cold, "top", spec);
   EXPECT_EQ(first.opc_runs, 1u);  // 16 identical isolated placements
-  EXPECT_EQ(first.store_entries_appended, 1u);
-  EXPECT_EQ(first.store_hits, 0u);  // nothing was preloaded
+  EXPECT_EQ(first.library_entries_appended, 1u);
+  EXPECT_EQ(first.library_exact_hits, 0u);  // nothing was imported
 
-  spec.resume = true;
   Library warm = sref_chip();
   const FlowStats second = run_flat_opc(warm, "top", spec);
   EXPECT_EQ(second.opc_runs, 0u);
-  EXPECT_EQ(second.store_entries_loaded, 1u);
-  EXPECT_EQ(second.store_entries_appended, 0u);
-  EXPECT_EQ(second.store_hits, 32u);  // 16 placements x 2 passes
+  EXPECT_EQ(second.library_entries_loaded, 1u);
+  EXPECT_EQ(second.library_entries_appended, 0u);
+  EXPECT_EQ(second.library_exact_hits, 32u);  // 16 placements x 2 passes
   EXPECT_EQ(output_polys(warm, "top", spec), output_polys(cold, "top", spec));
 }
 
 TEST(FlowResume, EcoResolvesOnlyEditedPlacement) {
   FlowSpec spec = fast_flow();
-  spec.store_path = store_path("flow_eco.ocs");
+  spec.library_path = library_file("flow_eco.ocl");
 
-  // Base tapeout run on the unedited chip, store attached.
+  // Base tapeout run on the unedited chip, library attached.
   Library base = sref_chip();
   const FlowStats base_stats = run_flat_opc(base, "top", spec);
   ASSERT_EQ(base_stats.opc_runs, 1u);
 
-  // ECO: placement 5 swapped for an edited leaf. Resume against the base
-  // store — only the edited placement's tiles miss.
-  spec.resume = true;
+  // ECO: placement 5 swapped for an edited leaf. Rerun over the base
+  // library — only the edited placement's tiles miss.
   Library eco = sref_chip(5);
   const FlowStats eco_stats = run_flat_opc(eco, "top", spec);
-  EXPECT_EQ(eco_stats.store_entries_loaded, 1u);
-  EXPECT_EQ(eco_stats.store_hits, 30u);  // >= 30 of 32 tiles replayed
+  EXPECT_EQ(eco_stats.library_entries_loaded, 1u);
+  EXPECT_EQ(eco_stats.library_exact_hits, 30u);  // >= 30 of 32 replayed
   EXPECT_EQ(eco_stats.opc_runs, 1u);    // one fresh solve for the edit
-  EXPECT_EQ(eco_stats.store_entries_appended, 1u);
+  EXPECT_EQ(eco_stats.library_entries_appended, 1u);
 
   // The incremental result must match a from-scratch run on the edited
   // layout, byte for byte.
@@ -226,42 +222,94 @@ TEST(FlowResume, EcoResolvesOnlyEditedPlacement) {
 }
 
 TEST(FlowResume, StoreResumesUnderARenamedLibraryOrNone) {
-  // The library's path is not part of the flow identity, so a store
-  // written under library "a" resumes under "b" and with no library.
+  // The library's path is not part of the flow identity, so a library
+  // written as "a" resumes as "b"; a run with no library at all solves
+  // afresh to the same output.
   FlowSpec spec = fast_flow();
-  spec.store_path = store_path("flow_libname.ocs");
-  const std::string a = store_path("flow_libname_a.ocl");
-  const std::string b = store_path("flow_libname_b.ocl");
+  const std::string a = library_file("flow_libname_a.ocl");
+  const std::string b = library_file("flow_libname_b.ocl");
   spec.library_path = a;
   Library cold = sref_chip();
   const FlowStats first = run_flat_opc(cold, "top", spec);
-  ASSERT_EQ(first.store_entries_appended, 1u);
+  ASSERT_EQ(first.library_entries_appended, 1u);
   const auto ref = output_polys(cold, "top", spec);
 
   std::filesystem::rename(a, b);
-  spec.resume = true;
   for (const std::string& library : {b, std::string()}) {
     FlowSpec run = spec;
     run.library_path = library;
+    const bool replays = !library.empty();
     Library warm = sref_chip();
     const FlowStats s = run_flat_opc(warm, "top", run);
-    EXPECT_EQ(s.store_entries_loaded, 1u) << "library '" << library << "'";
-    EXPECT_EQ(s.store_hits, 32u) << "library '" << library << "'";
-    EXPECT_EQ(s.opc_runs, 0u) << "library '" << library << "'";
+    EXPECT_EQ(s.library_entries_loaded, replays ? 1u : 0u)
+        << "library '" << library << "'";
+    EXPECT_EQ(s.library_exact_hits, replays ? 32u : 0u)
+        << "library '" << library << "'";
+    EXPECT_EQ(s.opc_runs, replays ? 0u : 1u) << "library '" << library << "'";
     EXPECT_EQ(output_polys(warm, "top", run), ref)
         << "library '" << library << "'";
   }
 }
 
+TEST(FlowResume, EscalateCellRerunReplaysIltTiles) {
+  // ILT tiles are filed without warm-start seeds, but they replay like
+  // any other tile: the rerun solves nothing, not even what ILT won.
+  FlowSpec spec = fast_flow();
+  spec.engine = CorrectionEngine::kEscalate;
+  spec.opc.max_iterations = 1;  // a rough model answer: ILT wins tiles
+  spec.ilt.max_iterations = 8;
+  spec.ilt_escalation_epe_nm = 0.0;  // every capped model solve escalates
+  spec.library_path = library_file("flow_escalate.ocl");
+  const auto build = [] {
+    Library lib("chip");
+    layout::Cell& t2t = lib.cell("tip2tip");
+    t2t.add_rect(layout::layers::kPoly, geom::Rect(360, 0, 540, 540));
+    t2t.add_rect(layout::layers::kPoly, geom::Rect(360, 800, 540, 1340));
+    t2t.add_rect(layout::layers::kPoly, geom::Rect(0, 0, 180, 1340));
+    t2t.add_rect(layout::layers::kPoly, geom::Rect(720, 0, 900, 1340));
+    layout::add_contact_array(lib.cell("contacts"), layout::layers::kPoly,
+                              220, 440, 2, 2);
+    layout::Cell& top = lib.cell("top");
+    geom::Coord x = 0;
+    for (const char* child : {"tip2tip", "contacts"}) {
+      layout::CellRef ref;
+      ref.child = child;
+      ref.transform = geom::Transform(geom::Point{x, 0});
+      top.add_ref(std::move(ref));
+      x += 4000;
+    }
+    return lib;
+  };
+  const auto gds = [](const Library& lib, const std::string& name) {
+    const std::string path = library_file(name);
+    layout::write_gdsii_file(lib, path);
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+
+  Library cold = build();
+  const FlowStats first = run_cell_opc(cold, "top", spec);
+  ASSERT_GT(first.ilt_tiles, 0u);
+  EXPECT_EQ(first.library_entries_appended, first.opc_runs);
+
+  Library warm = build();
+  const FlowStats second = run_cell_opc(warm, "top", spec);
+  EXPECT_EQ(second.opc_runs, 0u);
+  EXPECT_EQ(second.ilt_tiles, 0u);
+  EXPECT_EQ(second.library_exact_hits, first.opc_runs);
+  EXPECT_EQ(gds(warm, "flow_escalate_warm.gds"),
+            gds(cold, "flow_escalate_cold.gds"));
+}
+
 TEST(FlowResume, FingerprintMismatchIsRefused) {
   FlowSpec spec = fast_flow();
-  spec.store_path = store_path("flow_fpmismatch.ocs");
-  store::ResultStore::create(spec.store_path, 0xDEADBEEFULL);
-  spec.resume = true;
+  spec.library_path = library_file("flow_fpmismatch.ocl");
+  store::ResultStore::create(spec.library_path, 0xDEADBEEFULL);
   Library lib = sref_chip();
   try {
     run_flat_opc(lib, "top", spec);
-    FAIL() << "stale store was not refused";
+    FAIL() << "stale library was not refused";
   } catch (const util::InputError& e) {
     EXPECT_NE(std::string(e.what()).find("STO001"), std::string::npos)
         << e.what();
@@ -270,7 +318,7 @@ TEST(FlowResume, FingerprintMismatchIsRefused) {
 
 TEST(FlowResume, StoreRequiresCache) {
   FlowSpec spec = fast_flow();
-  spec.store_path = store_path("flow_nocache.ocs");
+  spec.library_path = library_file("flow_nocache.ocl");
   spec.cache = false;
   Library lib = sref_chip();
   EXPECT_THROW(run_flat_opc(lib, "top", spec), util::InputError);
@@ -300,8 +348,6 @@ TEST(FlowResume, FingerprintCoversFlowKindAndKnobs) {
   // Execution-only knobs are excluded: they cannot change the output.
   b = fast_flow();
   b.jobs = 8;
-  b.store_path = "elsewhere.ocs";
-  b.resume = true;
   EXPECT_EQ(flow_fingerprint(a, "flat"), flow_fingerprint(b, "flat"));
   // The library's path is excluded too: it names a file, not a process
   // setup, so a renamed library keeps its records.
@@ -324,15 +370,12 @@ TEST(FlowResume, StatsJsonRendersAllCounters) {
   stats.cache_hits = 30;
   stats.cache_misses = 1;
   stats.cache_conflicts = 1;
-  stats.store_hits = 30;
-  stats.store_entries_loaded = 1;
-  stats.store_entries_appended = 2;
-  stats.store_tail_recovered = true;
   stats.library_exact_hits = 3;
   stats.library_near_hits = 2;
   stats.library_entries_loaded = 5;
   stats.library_entries_appended = 1;
   stats.library_warm_iterations = 7;
+  stats.library_tail_recovered = true;
   stats.ilt_tiles = 2;
   stats.ilt_escalated = 1;
   stats.ilt_iterations = 12;
@@ -350,11 +393,9 @@ TEST(FlowResume, StatsJsonRendersAllCounters) {
             "\"max_abs_epe_nm\":1.75,"
             "\"worst_rms_epe_nm\":7.109864439,"
             "\"cache\":{\"hits\":30,\"misses\":1,\"conflicts\":1},"
-            "\"store\":{\"hits\":30,\"entries_loaded\":1,"
-            "\"entries_appended\":2,\"tail_recovered\":true},"
             "\"library\":{\"exact_hits\":3,\"near_hits\":2,"
             "\"entries_loaded\":5,\"entries_appended\":1,"
-            "\"warm_iterations\":7,\"tail_recovered\":false},"
+            "\"warm_iterations\":7,\"tail_recovered\":true},"
             "\"ilt\":{\"tiles\":2,\"escalated\":1,\"iterations\":12},"
             "\"tile_simulations\":[4,0,5],"
             "\"mrc\":{\"checked\":false,\"violations\":0,"

@@ -1,45 +1,25 @@
 /// Pattern-library tests: insert/dedup, deterministic nearest-match
-/// retrieval, persistence round trips, and the corrupt-file corpus —
-/// every damaged input must load or refuse deterministically (never
-/// crash), and torn tails must recover. Runs under ASan/UBSan and TSan
-/// in CI (label `pat`).
+/// retrieval and detached clones. The file it opens is the one reuse
+/// format, whose round trips and corrupt-file corpus live in
+/// store_result_store_test.cpp. Runs under ASan/UBSan and TSan in CI
+/// (label `pat`).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "pattern/library.h"
-#include "store/result_store.h"
-#include "util/check.h"
 
 namespace opckit::pat {
 namespace {
 
 constexpr std::uint64_t kFp = 0xfeed'beef'0bad'f00dULL;
-// Same header shape as the `.ocs` store: magic + version + fingerprint
-// + header CRC.
-constexpr std::size_t kHeaderSize = 24;
 
 std::string temp_path(const std::string& name) {
   const std::string path = ::testing::TempDir() + "/" + name;
   std::filesystem::remove(path);
   return path;
-}
-
-std::vector<std::uint8_t> file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-void write_bytes(const std::string& path,
-                 const std::vector<std::uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
 }
 
 /// A library record whose window geometry (hence feature vector) is
@@ -56,14 +36,6 @@ LibraryRecord sample_record(geom::Coord widen = 0, int salt = 0) {
   rec.seeds = {{geom::Point{90, 0}, 4 + salt},
                {geom::Point{90, 1200}, -6}};
   return rec;
-}
-
-/// A library with two good records, returned as raw bytes for mutilation.
-std::vector<std::uint8_t> good_library_bytes(const std::string& path) {
-  auto lib = PatternLibrary::open(path, kFp);
-  EXPECT_TRUE(lib.insert(sample_record(0)));
-  EXPECT_TRUE(lib.insert(sample_record(40)));
-  return file_bytes(path);
 }
 
 TEST(PatternLibrary, MemoryOnlyInsertAndRetrieve) {
@@ -124,199 +96,24 @@ TEST(PatternLibrary, NearestHonorsBudget) {
   EXPECT_FALSE(PatternLibrary().nearest(query, 1e9).has_value());
 }
 
-TEST(PatternLibrary, RoundTripsThroughDisk) {
-  const std::string path = temp_path("lib_roundtrip.ocl");
-  {
-    auto lib = PatternLibrary::open(path, kFp);
-    EXPECT_EQ(lib.load_info().records_loaded, 0u);
-    EXPECT_TRUE(lib.insert(sample_record(0)));
-    EXPECT_TRUE(lib.insert(sample_record(40)));
-    // Duplicate insert neither grows the index nor the file.
-    EXPECT_FALSE(lib.insert(sample_record(0)));
-  }
-  const std::uint64_t size_after = std::filesystem::file_size(path);
-  auto lib = PatternLibrary::open(path, kFp);
-  EXPECT_EQ(std::filesystem::file_size(path), size_after);
-  EXPECT_EQ(lib.load_info().records_loaded, 2u);
-  EXPECT_FALSE(lib.load_info().tail_recovered);
-  ASSERT_EQ(lib.size(), 2u);
-  EXPECT_EQ(lib.record(0), sample_record(0));
-  EXPECT_EQ(lib.record(1), sample_record(40));
-  // The index is rebuilt from geometry on load: retrieval still works.
-  const auto near =
-      lib.nearest(feature_of(sample_record(44).tile.window_rects), 0.5);
+TEST(PatternLibrary, NearestSkipsSeedlessRecords) {
+  // An ILT solve is filed without seeds: it replays, but a warm start
+  // needs seeds, so retrieval never returns it — not even as an exact
+  // feature match. A seeded entry further away still wins.
+  PatternLibrary lib;
+  LibraryRecord seedless = sample_record(0);
+  seedless.seeds.clear();
+  EXPECT_TRUE(lib.insert(seedless));
+  EXPECT_TRUE(lib.insert(sample_record(40)));
+  const PatternFeature query =
+      feature_of(sample_record(0).tile.window_rects);
+  const auto near = lib.nearest(query, 1e9);
   ASSERT_TRUE(near.has_value());
   EXPECT_EQ(near->index, 1u);
-}
-
-TEST(PatternLibrary, ReopenAppendsAfterExistingRecords) {
-  const std::string path = temp_path("lib_extend.ocl");
-  {
-    auto lib = PatternLibrary::open(path, kFp);
-    EXPECT_TRUE(lib.insert(sample_record(0)));
-  }
-  {
-    auto lib = PatternLibrary::open(path, kFp);
-    EXPECT_EQ(lib.size(), 1u);
-    // Reopen dedups against loaded entries too.
-    EXPECT_FALSE(lib.insert(sample_record(0)));
-    EXPECT_TRUE(lib.insert(sample_record(40)));
-  }
-  auto lib = PatternLibrary::open(path, kFp);
-  ASSERT_EQ(lib.size(), 2u);
-  EXPECT_EQ(lib.record(1), sample_record(40));
-}
-
-TEST(PatternLibrary, RefusesFingerprintMismatch) {
-  const std::string path = temp_path("lib_fp.ocl");
-  good_library_bytes(path);
-  try {
-    PatternLibrary::open(path, kFp + 1);
-    FAIL() << "stale library was not refused";
-  } catch (const util::InputError& e) {
-    EXPECT_NE(std::string(e.what()).find("different process setup"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(PatternLibrary, RefusesWrongMagic) {
-  const std::string path = temp_path("lib_magic.ocl");
-  auto bytes = good_library_bytes(path);
-  bytes[0] = 'X';
-  write_bytes(path, bytes);
-  EXPECT_THROW(PatternLibrary::open(path, kFp), util::InputError);
-}
-
-TEST(PatternLibrary, RefusesTruncatedHeader) {
-  const std::string path = temp_path("lib_shorthdr.ocl");
-  auto bytes = good_library_bytes(path);
-  bytes.resize(kHeaderSize / 2);
-  write_bytes(path, bytes);
-  EXPECT_THROW(PatternLibrary::open(path, kFp), util::InputError);
-}
-
-TEST(PatternLibrary, RefusesCorruptHeaderChecksum) {
-  const std::string path = temp_path("lib_hdrcrc.ocl");
-  auto bytes = good_library_bytes(path);
-  bytes[12] ^= 0x01u;  // flip a fingerprint byte without re-forging CRC
-  write_bytes(path, bytes);
-  try {
-    PatternLibrary::open(path, kFp);
-    FAIL() << "corrupt header was not refused";
-  } catch (const util::InputError& e) {
-    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(PatternLibrary, RefusesUnknownVersionWithValidChecksum) {
-  const std::string path = temp_path("lib_version.ocl");
-  auto bytes = good_library_bytes(path);
-  bytes[8] = 99;  // version field, little-endian low byte
-  // Re-forge the header CRC so the version check (not the checksum) fires.
-  const std::uint32_t crc =
-      store::store_detail::crc32(bytes.data(), kHeaderSize - 4);
-  for (int i = 0; i < 4; ++i)
-    bytes[20 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((crc >> (8 * i)) & 0xFFu);
-  write_bytes(path, bytes);
-  try {
-    PatternLibrary::open(path, kFp);
-    FAIL() << "unknown version was not refused";
-  } catch (const util::InputError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(PatternLibrary, RefusesFlippedRecordByte) {
-  const std::string path = temp_path("lib_reccrc.ocl");
-  auto bytes = good_library_bytes(path);
-  // Flip a byte inside the first record's payload (after length prefix).
-  bytes[kHeaderSize + 4 + 3] ^= 0x40u;
-  write_bytes(path, bytes);
-  try {
-    PatternLibrary::open(path, kFp);
-    FAIL() << "corrupt record was not refused";
-  } catch (const util::InputError& e) {
-    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(PatternLibrary, RefusesMalformedPayloadWithForgedChecksum) {
-  // A structurally bogus payload behind a *valid* CRC must still be
-  // refused — the CRC authenticates bytes, the parser structure.
-  const std::string path = temp_path("lib_struct.ocl");
-  std::vector<std::uint8_t> bytes = [&] {
-    PatternLibrary::open(path, kFp);
-    return file_bytes(path);
-  }();
-  const std::vector<std::uint8_t> payload = {0xEE};  // truncated tile_len
-  bytes.push_back(1);  // record length = 1, little-endian
-  bytes.push_back(0);
-  bytes.push_back(0);
-  bytes.push_back(0);
-  bytes.push_back(payload[0]);
-  const std::uint32_t crc = store::store_detail::crc32(payload.data(), 1);
-  for (int i = 0; i < 4; ++i)
-    bytes.push_back(static_cast<std::uint8_t>((crc >> (8 * i)) & 0xFFu));
-  write_bytes(path, bytes);
-  try {
-    PatternLibrary::open(path, kFp);
-    FAIL() << "malformed payload was not refused";
-  } catch (const util::InputError& e) {
-    EXPECT_NE(std::string(e.what()).find("malformed"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(PatternLibrary, RecoversTornTailAtEveryCut) {
-  const std::string path = temp_path("lib_torn.ocl");
-  const auto bytes = good_library_bytes(path);
-  const std::uint64_t whole = bytes.size();
-  // Find where record 2 starts: reopen the intact file and measure the
-  // one-record prefix.
-  const std::uint64_t one_record = [&] {
-    const std::string p = temp_path("lib_torn_ref.ocl");
-    auto lib = PatternLibrary::open(p, kFp);
-    lib.insert(sample_record(0));
-    return std::filesystem::file_size(p);
-  }();
-  ASSERT_GT(one_record, kHeaderSize);
-  ASSERT_LT(one_record, whole);
-
-  for (std::size_t cut : {one_record + 1, one_record + 5, whole - 1}) {
-    auto torn = bytes;
-    torn.resize(cut);
-    write_bytes(path, torn);
-    auto lib = PatternLibrary::open(path, kFp);
-    ASSERT_EQ(lib.size(), 1u) << "cut=" << cut;
-    EXPECT_EQ(lib.record(0), sample_record(0));
-    EXPECT_TRUE(lib.load_info().tail_recovered) << "cut=" << cut;
-    // open() truncates the torn bytes so appends land after the last
-    // whole record.
-    EXPECT_EQ(std::filesystem::file_size(path), one_record);
-  }
-}
-
-TEST(PatternLibrary, AppendAfterTornTailHealsFile) {
-  const std::string path = temp_path("lib_heal.ocl");
-  auto bytes = good_library_bytes(path);
-  bytes.resize(bytes.size() - 3);  // tear inside the last record
-  write_bytes(path, bytes);
-  {
-    auto lib = PatternLibrary::open(path, kFp);
-    ASSERT_TRUE(lib.load_info().tail_recovered);
-    EXPECT_TRUE(lib.insert(sample_record(80)));
-  }
-  // The healed file has no trace of the torn bytes.
-  auto lib = PatternLibrary::open(path, kFp);
-  EXPECT_FALSE(lib.load_info().tail_recovered);
-  ASSERT_EQ(lib.size(), 2u);
-  EXPECT_EQ(lib.record(0), sample_record(0));
-  EXPECT_EQ(lib.record(1), sample_record(80));
+  EXPECT_GT(near->distance, 0.0);
+  PatternLibrary only_seedless;
+  EXPECT_TRUE(only_seedless.insert(seedless));
+  EXPECT_FALSE(only_seedless.nearest(query, 1e9).has_value());
 }
 
 TEST(PatternLibrary, CloneMemoryIsDetachedFromFile) {

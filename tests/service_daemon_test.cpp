@@ -19,6 +19,7 @@
 #include "service/client.h"
 #include "service/server.h"
 #include "service/socket.h"
+#include "trace/metrics.h"
 
 namespace opckit::svc {
 namespace {
@@ -51,13 +52,15 @@ std::string temp_path(const std::string& name) {
 }
 
 /// Write a repeated-placement chip to a GDSII file and return its path.
+/// The default pitch keeps placements outside each other's halo (one
+/// pattern class); a pitch below the halo couples them.
 std::string make_input_gds(const std::string& name, int cols = 2,
-                           int rows = 2) {
+                           int rows = 2, geom::Point pitch = {4000, 4000}) {
   Library lib("chip");
   layout::Cell& leaf = lib.cell("leaf");
   leaf.add_rect(layout::layers::kPoly, geom::Rect(0, 0, 180, 1200));
   leaf.add_rect(layout::layers::kPoly, geom::Rect(540, 0, 720, 1200));
-  layout::make_chip(lib, "top", "leaf", cols, rows, {4000, 4000});
+  layout::make_chip(lib, "top", "leaf", cols, rows, pitch);
   const std::string path = temp_path(name);
   layout::write_gdsii_file(lib, path);
   return path;
@@ -69,6 +72,15 @@ std::string read_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// The GDSII bytes of the flat flow run directly on \p in.
+std::string direct_gds(const std::string& in, const std::string& name) {
+  Library lib = layout::read_gdsii_file(in);
+  opc::run_flat_opc(lib, "top", fast_flow());
+  const std::string out = temp_path(name);
+  layout::write_gdsii_file(lib, out);
+  return read_file(out);
 }
 
 SubmitMsg make_submit(const std::string& in, const std::string& out,
@@ -139,11 +151,7 @@ TEST(ServiceDaemon, SubmitRunsJobByteIdenticalToDirectRun) {
 
   // The daemon's output must be byte-identical to the same flow run
   // directly in this process — the T9 acceptance criterion.
-  Library lib = layout::read_gdsii_file(in);
-  opc::run_flat_opc(lib, "top", fast_flow());
-  const std::string direct_out = temp_path("svc_basic_direct.gds");
-  layout::write_gdsii_file(lib, direct_out);
-  EXPECT_EQ(read_file(daemon_out), read_file(direct_out));
+  EXPECT_EQ(read_file(daemon_out), direct_gds(in, "svc_basic_direct.gds"));
   d.server->stop();
 }
 
@@ -324,7 +332,7 @@ TEST(ServiceDaemon, CrashResumeReplaysFromLibraryDirByteIdentical) {
   }
 
   // "Crashed" daemon replaced by a fresh process over the same library
-  // directory: the shelf reloads from its fsynced .ocs file and the
+  // directory: the shelf reloads from its fsynced .ocl file and the
   // whole job replays — zero solves, byte-identical output.
   ServerOptions opts;
   opts.library.dir = dir;
@@ -335,6 +343,74 @@ TEST(ServiceDaemon, CrashResumeReplaysFromLibraryDirByteIdentical) {
   EXPECT_NE(r2.result.payload.find("\"opc_runs\":0"), std::string::npos);
   EXPECT_EQ(read_file(out1), read_file(out2));
   d2.server->stop();
+}
+
+std::size_t json_count(const std::string& json, const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key << " in " << json;
+  return at == std::string::npos
+             ? 0
+             : std::stoul(json.substr(at + key.size() + 3));
+}
+
+TEST(ServiceDaemon, OneShelfFileAndOneSyncedAppendPerFreshSolve) {
+  const std::string dir = temp_path("svc_one_shelf");
+  // Placements inside each other's halo: several distinct classes.
+  const std::string in =
+      make_input_gds("svc_one_shelf_in.gds", 2, 2, {1400, 1800});
+  ServerOptions opts;
+  opts.library.dir = dir;
+  DaemonFixture d("svc_one_shelf", std::move(opts));
+  Client c = d.client();
+  const trace::MetricsSnapshot before = trace::metrics().snapshot();
+  const auto out =
+      c.run_job(make_submit(in, temp_path("svc_one_shelf_out.gds")));
+  ASSERT_TRUE(out.result.ok) << out.result.payload;
+  const trace::MetricsSnapshot delta =
+      trace::MetricsSnapshot::delta(before, trace::metrics().snapshot());
+  const std::size_t solves = json_count(out.result.payload, "opc_runs");
+  ASSERT_GT(solves, 1u);
+
+  // One file for the fingerprint, holding every fresh solve...
+  const std::uint64_t fp = opc::flow_fingerprint(fast_flow(), "flat");
+  std::vector<std::string> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    files.push_back(e.path().string());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0], d.server->library().path_for(fp));
+  EXPECT_EQ(d.server->library().size(fp), solves);
+  // ...each written with one append and one fsync.
+  EXPECT_EQ(delta.counters.at(trace::metric::kStoreRecordsAppended), solves);
+  EXPECT_EQ(delta.counters.at(trace::metric::kStoreRecordsSynced), solves);
+  d.server->stop();
+}
+
+TEST(ServiceDaemon, ShelfWrittenBeforeTheReuseMergeReplays) {
+  // tests/data/daemon_flat_shelf.ocl is the shelf a daemon kept for this
+  // job before the reuse layers were merged into one file. Placed under
+  // its fingerprint, it replays the whole job: zero solves, output
+  // byte-identical to the direct run, and the file itself unchanged.
+  const std::string dir = temp_path("svc_old_shelf");
+  const std::string in = make_input_gds("svc_old_shelf_in.gds");
+  const std::string out = temp_path("svc_old_shelf_out.gds");
+  const std::string fixture =
+      std::string(OPCKIT_TEST_DATA_DIR) + "/daemon_flat_shelf.ocl";
+  const std::uint64_t fp = opc::flow_fingerprint(fast_flow(), "flat");
+  const std::string shelf = CorrectionLibrary({dir}).path_for(fp);
+  std::filesystem::create_directories(dir);
+  std::filesystem::copy_file(fixture, shelf);
+
+  ServerOptions opts;
+  opts.library.dir = dir;
+  DaemonFixture d("svc_old_shelf", std::move(opts));
+  Client c = d.client();
+  const auto r = c.run_job(make_submit(in, out));
+  ASSERT_TRUE(r.result.ok) << r.result.payload;
+  EXPECT_EQ(json_count(r.result.payload, "opc_runs"), 0u);
+  d.server->stop();
+  EXPECT_EQ(read_file(out), direct_gds(in, "svc_old_shelf_direct.gds"));
+  EXPECT_EQ(read_file(shelf), read_file(fixture));
 }
 
 TEST(ServiceDaemon, GarbageBytesEarnTypedErrorAndDaemonSurvives) {

@@ -1,5 +1,5 @@
 /// CorrectionLibrary + FlowSpec service-hook tests: cross-run sharing,
-/// dedup, durable reload, and the preload/record_sink/cancel/progress
+/// dedup, durable reload, and the library/library_sink/cancel/progress
 /// plumbing the daemon builds on (src/service/library.h, core/flow.h).
 #include <gtest/gtest.h>
 
@@ -47,19 +47,20 @@ std::string temp_dir(const std::string& name) {
   return dir;
 }
 
-store::TileRecord sample_record(geom::Coord x) {
-  store::TileRecord rec;
-  rec.window_rects.push_back(geom::Rect(x, 0, x + 180, 1200));
-  rec.own_rects = rec.window_rects;
-  rec.frame = geom::Rect(x - 800, -800, x + 980, 2000);
-  rec.solution.push_back(
+pat::LibraryRecord sample_record(geom::Coord x) {
+  pat::LibraryRecord rec;
+  rec.tile.window_rects.push_back(geom::Rect(x, 0, x + 180, 1200));
+  rec.tile.own_rects = rec.tile.window_rects;
+  rec.tile.frame = geom::Rect(x - 800, -800, x + 980, 2000);
+  rec.tile.solution.push_back(
       geom::Polygon(geom::Rect(x, 0, x + 182, 1200)));
+  rec.seeds = {{geom::Point{x, 600}, 2}};
   return rec;
 }
 
 TEST(ServiceLibrary, SnapshotOfFreshFingerprintIsEmpty) {
   CorrectionLibrary lib({});
-  EXPECT_TRUE(lib.snapshot(42).empty());
+  EXPECT_EQ(lib.snapshot(42).size(), 0u);
   EXPECT_EQ(lib.size(42), 0u);
 }
 
@@ -72,8 +73,8 @@ TEST(ServiceLibrary, AddDeduplicatesByFullRecordEquality) {
   EXPECT_EQ(lib.size(1), 2u);
   // Same geometry, different solution: NOT equal, kept (first match
   // still wins at resolve time — import order decides).
-  store::TileRecord variant = sample_record(0);
-  variant.solution.clear();
+  pat::LibraryRecord variant = sample_record(0);
+  variant.tile.solution.clear();
   lib.add(1, variant);
   EXPECT_EQ(lib.size(1), 3u);
 }
@@ -84,7 +85,7 @@ TEST(ServiceLibrary, ShelvesAreIndependentPerFingerprint) {
   lib.add(2, sample_record(0));
   EXPECT_EQ(lib.size(1), 1u);
   EXPECT_EQ(lib.size(2), 1u);
-  EXPECT_TRUE(lib.snapshot(3).empty());
+  EXPECT_EQ(lib.snapshot(3).size(), 0u);
 }
 
 TEST(ServiceLibrary, DurableShelfReloadsAcrossInstances) {
@@ -97,10 +98,10 @@ TEST(ServiceLibrary, DurableShelfReloadsAcrossInstances) {
   }
   // A second instance over the same directory — the daemon-restart path.
   CorrectionLibrary lib2({dir, true});
-  const auto shelf = lib2.snapshot(7);
+  const pat::PatternLibrary shelf = lib2.snapshot(7);
   ASSERT_EQ(shelf.size(), 2u);
-  EXPECT_EQ(shelf[0], sample_record(0));
-  EXPECT_EQ(shelf[1], sample_record(500));
+  EXPECT_EQ(shelf.record(0), sample_record(0));
+  EXPECT_EQ(shelf.record(1), sample_record(500));
   // Dedup survives the reload: re-adding a loaded record is a no-op.
   lib2.add(7, sample_record(0));
   EXPECT_EQ(lib2.size(7), 2u);
@@ -115,46 +116,49 @@ TEST(ServiceLibrary, MemoryOnlyModeWritesNoFiles) {
 TEST(ServiceLibrary, FingerprintKeyedFileNames) {
   CorrectionLibrary lib({"/some/dir", true});
   EXPECT_EQ(lib.path_for(0xDEADBEEF),
-            "/some/dir/00000000deadbeef.ocs");
+            "/some/dir/00000000deadbeef.ocl");
+  // The benchmark's second name for the one shelf file.
+  EXPECT_EQ(lib.pattern_path_for(0xDEADBEEF), lib.path_for(0xDEADBEEF));
 }
 
 // ---- FlowSpec service hooks -------------------------------------------
 
-TEST(ServiceLibrary, PreloadAndRecordSinkRoundTripThroughFlow) {
+TEST(ServiceLibrary, SnapshotAndSinkRoundTripThroughFlow) {
   const opc::FlowSpec base = fast_flow();
   const std::uint64_t fp = opc::flow_fingerprint(base, "flat");
   CorrectionLibrary shared({});
 
   // First run: everything solves fresh; every class lands in the library
-  // via record_sink.
+  // via library_sink.
   Library chip1 = sparse_chip();
   opc::FlowSpec first = base;
-  first.record_sink = [&](const store::TileRecord& rec) {
+  first.library_sink = [&](const pat::LibraryRecord& rec) {
     shared.add(fp, rec);
   };
   const opc::FlowStats stats1 = opc::run_flat_opc(chip1, "top", first);
   EXPECT_GT(stats1.opc_runs, 0u);
   EXPECT_GT(shared.size(fp), 0u);
 
-  // Second run, fresh process state: preloaded snapshot replays every
-  // tile — zero solves — and the output is byte-identical.
+  // Second run, fresh process state: the snapshot replays every tile —
+  // zero solves — and the output is byte-identical.
   Library chip2 = sparse_chip();
   opc::FlowSpec second = base;
-  const std::vector<store::TileRecord> shelf = shared.snapshot(fp);
-  second.preload = &shelf;
+  const pat::PatternLibrary shelf = shared.snapshot(fp);
+  second.library = &shelf;
   const opc::FlowStats stats2 = opc::run_flat_opc(chip2, "top", second);
   EXPECT_EQ(stats2.opc_runs, 0u);
-  EXPECT_EQ(stats2.store_entries_loaded, shelf.size());
-  EXPECT_GT(stats2.store_hits, 0u);
+  EXPECT_EQ(stats2.library_entries_loaded, shelf.size());
+  EXPECT_GT(stats2.library_exact_hits, 0u);
   EXPECT_EQ(output_polys(chip1, base), output_polys(chip2, base));
 }
 
-TEST(ServiceLibrary, PreloadRequiresCache) {
+TEST(ServiceLibrary, SnapshotRequiresCache) {
   Library chip = sparse_chip(1, 1);
   opc::FlowSpec spec = fast_flow();
   spec.cache = false;
-  const std::vector<store::TileRecord> shelf = {sample_record(0)};
-  spec.preload = &shelf;
+  pat::PatternLibrary shelf;
+  shelf.insert(sample_record(0));
+  spec.library = &shelf;
   EXPECT_THROW(opc::run_flat_opc(chip, "top", spec), util::InputError);
 }
 

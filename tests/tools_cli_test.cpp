@@ -172,28 +172,30 @@ TEST(Cli, FlowStoreResumeAndJsonStats) {
   const std::string in = ::testing::TempDir() + "/cli_store_in.gds";
   layout::write_gdsii_file(lib, in);
   const std::string out_path = ::testing::TempDir() + "/cli_store_out.gds";
-  const std::string store = ::testing::TempDir() + "/cli_store.ocs";
+  const std::string library = ::testing::TempDir() + "/cli_store.ocl";
   const std::string stats_path = ::testing::TempDir() + "/cli_store.json";
-  std::remove(store.c_str());
+  std::remove(library.c_str());
 
-  // Cold run writes the store; --stats json replaces the text report.
+  // Cold run writes the library; --stats json replaces the text report.
   const auto cold = run_cli({"opc", "--in", in, "--out", out_path,
                              "--layer", "10/0", "--flow", "flat",
-                             "--store", store, "--stats", "json"});
+                             "--library", library, "--stats", "json"});
   EXPECT_EQ(cold.code, 0) << cold.err;
   EXPECT_EQ(cold.out.rfind("{\"opc_runs\":", 0), 0u) << cold.out;
-  EXPECT_NE(cold.out.find("\"store\":{\"hits\":0,\"entries_loaded\":0,"
-                          "\"entries_appended\":"),
+  EXPECT_NE(cold.out.find("\"library\":{\"exact_hits\":0,\"near_hits\":0,"
+                          "\"entries_loaded\":0,\"entries_appended\":1,"),
             std::string::npos)
       << cold.out;
 
-  // Resume replays everything; --stats-out writes the same JSON to disk.
+  // A rerun over the library replays everything; --stats-out writes the
+  // same JSON to disk.
   const auto warm = run_cli({"opc", "--in", in, "--out", out_path,
                              "--layer", "10/0", "--flow", "flat",
-                             "--store", store, "--resume",
-                             "--stats-out", stats_path});
+                             "--library", library, "--stats-out",
+                             stats_path});
   EXPECT_EQ(warm.code, 0) << warm.err;
-  EXPECT_NE(warm.out.find("store:"), std::string::npos) << warm.out;
+  EXPECT_NE(warm.out.find("library: 2 exact replay(s)"), std::string::npos)
+      << warm.out;
   std::ifstream stats_file(stats_path);
   std::string json((std::istreambuf_iterator<char>(stats_file)),
                    std::istreambuf_iterator<char>());
@@ -202,7 +204,7 @@ TEST(Cli, FlowStoreResumeAndJsonStats) {
 
   std::remove(in.c_str());
   std::remove(out_path.c_str());
-  std::remove(store.c_str());
+  std::remove(library.c_str());
   std::remove(stats_path.c_str());
 }
 
@@ -234,6 +236,11 @@ TEST(Cli, LibraryRenameStillReplays) {
   ASSERT_EQ(first.code, 0) << first.err;
   ASSERT_NE(first.out.find("library: 0 exact replay(s)"), std::string::npos)
       << first.out;
+  // The file is byte for byte the one this command wrote before the
+  // reuse layers were merged into one format (tests/data).
+  const std::string fixture =
+      read_file(std::string(OPCKIT_TEST_DATA_DIR) + "/cli_cell_library.ocl");
+  EXPECT_EQ(read_file(a), fixture);
   ASSERT_EQ(std::rename(a.c_str(), b.c_str()), 0);
 
   const std::string out = dir + "/cli_rename_again.gds";
@@ -246,6 +253,7 @@ TEST(Cli, LibraryRenameStillReplays) {
         << spelled << ": " << r.out;
     EXPECT_EQ(read_file(out), read_file(first_out)) << spelled;
   }
+  EXPECT_EQ(read_file(b), fixture);  // replays append nothing
   for (const std::string& path : {in, b, first_out, out}) {
     std::remove(path.c_str());
   }
@@ -320,7 +328,7 @@ TEST(Cli, MetricsCommandListsTheRegistry) {
 
 TEST(Cli, StoreFlagsRequireAFlow) {
   for (const std::vector<std::string>& extra :
-       {std::vector<std::string>{"--store", "x.ocs"},
+       {std::vector<std::string>{"--library", "x.ocl"},
         std::vector<std::string>{"--stats", "json"},
         std::vector<std::string>{"--stats-out", "x.json"},
         std::vector<std::string>{"--trace", "x.json"}}) {
@@ -334,11 +342,38 @@ TEST(Cli, StoreFlagsRequireAFlow) {
   }
 }
 
-TEST(Cli, ResumeRequiresStore) {
-  const auto r = run_cli({"opc", "--in", "x.gds", "--out", "y.gds",
-                          "--layer", "10/0", "--flow", "flat", "--resume"});
+TEST(Cli, RetiredStoreFlagsAreRefused) {
+  // The correction store's flags are gone (a rerun over --library
+  // resumes); a script that still passes them must fail, not silently
+  // stop persisting.
+  for (const std::vector<std::string>& extra :
+       {std::vector<std::string>{"--store", "x.ocs"},
+        std::vector<std::string>{"--resume"}}) {
+    std::vector<std::string> args{"opc",   "--in",    "x.gds", "--out",
+                                  "y.gds", "--layer", "10/0",  "--flow",
+                                  "flat"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.code, 2) << extra[0];
+    EXPECT_NE(r.err.find("unknown option " + extra[0]), std::string::npos)
+        << r.err;
+  }
+}
+
+TEST(Cli, EveryCommandRefusesUnknownOptions) {
+  for (const char* cmd : {"stats", "drc", "mrc", "lint", "opc", "patterns",
+                          "metrics", "serve", "submit", "shutdown"}) {
+    const auto r = run_cli({cmd, "--bogus-flag"});
+    EXPECT_EQ(r.code, 2) << cmd;
+    EXPECT_NE(r.err.find("unknown option --bogus-flag"), std::string::npos)
+        << cmd << ": " << r.err;
+  }
+  // An option of one command is no option of another, and two names
+  // are not one.
+  const auto r = run_cli({"metrics", "--format", "md", "--in", "x.gds"});
   EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("--resume requires --store"), std::string::npos);
+  EXPECT_NE(r.err.find("unknown option --in"), std::string::npos) << r.err;
+  EXPECT_EQ(run_cli({"stats", "--in cell", "x.gds"}).code, 2);
 }
 
 TEST(Cli, UnknownStatsFormatRejected) {

@@ -1,5 +1,6 @@
 #include "cli.h"
 
+#include <algorithm>
 #include <csignal>
 #include <fstream>
 #include <map>
@@ -25,16 +26,25 @@ namespace opckit::cli {
 
 namespace {
 
-/// Minimal option parser: --key value pairs plus boolean --flags.
+/// Minimal option parser: --key value pairs plus boolean --flags. Only
+/// the options named in \p known (space-separated) are accepted, so a
+/// mistyped or retired option is refused by name instead of silently
+/// ignored.
 class Options {
  public:
-  Options(const std::vector<std::string>& args, std::size_t begin) {
+  Options(const std::vector<std::string>& args, std::size_t begin,
+          const std::string& known) {
     for (std::size_t i = begin; i < args.size(); ++i) {
       const std::string& a = args[i];
       if (!util::starts_with(a, "--")) {
         throw util::InputError("unexpected argument: " + a);
       }
       const std::string key = a.substr(2);
+      if (key.find(' ') != std::string::npos ||
+          (' ' + known + ' ').find(' ' + key + ' ') == std::string::npos) {
+        throw util::InputError("unknown option --" + key + " for opckit " +
+                               args[0]);
+      }
       if (i + 1 < args.size() && !util::starts_with(args[i + 1], "--")) {
         values_[key] = args[++i];
       } else {
@@ -302,11 +312,17 @@ litho::SimSpec calibrated_process(const Options& opts) {
   return sim;
 }
 
+/// The options build_flow_spec() reads; opc and submit both take them.
+constexpr const char* kFlowSpecOptions =
+    "layer jobs no-cache imaging socs-epsilon anchor-cd anchor-pitch engine "
+    "ilt-iterations ilt-step ilt-steepness ilt-edge-weight ilt-edge-band "
+    "ilt-escalate-epe library-budget mrc-deck mrc-action";
+
 /// The FlowSpec of `opc --flow flat|cell` and of `submit`, validated the
 /// same way for both, so a daemon job and a single-process run of the
 /// same options share one spec — one fingerprint, byte-identical output.
-/// Persistence (--store, --resume, --library) is cmd_opc's to add; the
-/// daemon owns it for submit.
+/// The library file (--library) is cmd_opc's to add; the daemon owns it
+/// for submit.
 opc::FlowSpec build_flow_spec(const Options& opts) {
   const std::string mrc_action = opts.get("mrc-action", "fail");
   if (mrc_action != "fail" && mrc_action != "warn") {
@@ -353,18 +369,15 @@ int cmd_opc(const Options& opts, std::ostream& out) {
   }
   if (flow == "direct") {
     for (const char* key :
-         {"store", "resume", "stats", "stats-out", "trace", "mrc-deck",
-          "mrc-action", "library", "library-budget", "engine",
-          "ilt-iterations", "ilt-step", "ilt-steepness", "ilt-edge-weight",
-          "ilt-edge-band", "ilt-escalate-epe"}) {
+         {"stats", "stats-out", "trace", "mrc-deck", "mrc-action", "library",
+          "library-budget", "engine", "ilt-iterations", "ilt-step",
+          "ilt-steepness", "ilt-edge-weight", "ilt-edge-band",
+          "ilt-escalate-epe"}) {
       if (opts.has(key)) {
         throw util::InputError(std::string("--") + key +
                                " requires --flow flat|cell");
       }
     }
-  }
-  if (opts.has("resume") && !opts.has("store")) {
-    throw util::InputError("--resume requires --store FILE");
   }
   if (opts.has("library-budget") && !opts.has("library")) {
     throw util::InputError("--library-budget requires --library FILE");
@@ -383,8 +396,6 @@ int cmd_opc(const Options& opts, std::ostream& out) {
   // parameters), so no separate lint pass is needed here.
   if (flow != "direct") {
     opc::FlowSpec spec = build_flow_spec(opts);
-    if (opts.has("store")) spec.store_path = opts.require("store");
-    spec.resume = opts.has("resume");
     if (opts.has("library")) spec.library_path = opts.require("library");
     layout::Library lib = layout::read_gdsii_file(opts.require("in"));
     const std::string top = pick_cell(lib, opts);
@@ -433,13 +444,6 @@ int cmd_opc(const Options& opts, std::ostream& out) {
         out << "cache: " << stats.cache_hits << " hit(s), "
             << stats.cache_misses << " miss(es), " << stats.cache_conflicts
             << " conflict(s)\n";
-      }
-      if (!spec.store_path.empty()) {
-        out << "store: " << stats.store_hits << " tile(s) replayed from "
-            << stats.store_entries_loaded << " loaded entr(ies), "
-            << stats.store_entries_appended << " appended"
-            << (stats.store_tail_recovered ? ", torn tail recovered" : "")
-            << '\n';
       }
       if (!spec.library_path.empty()) {
         out << "library: " << stats.library_exact_hits
@@ -733,14 +737,6 @@ int cmd_serve(const Options& opts, std::ostream& out) {
 }
 
 int cmd_submit(const Options& opts, std::ostream& out) {
-  for (const char* key : {"store", "resume", "library"}) {
-    if (opts.has(key)) {
-      throw util::InputError(
-          std::string("--") + key +
-          " is not a submit option: the daemon owns durability through "
-          "its --library directory");
-    }
-  }
   const std::string flow = opts.get("flow", "flat");
   if (flow != "flat" && flow != "cell") {
     throw util::InputError("unknown --flow (use flat or cell): " + flow);
@@ -818,12 +814,11 @@ void usage(std::ostream& err) {
          "            [--sigma-inner F] [--pixel F]\n"
          "  opc       --in a.gds --out b.gds --layer L/D [--mode rule|model]\n"
          "            [--flow direct|flat|cell] [--jobs N] [--no-cache]\n"
-         "            [--store f.ocs [--resume]] (persistent correction\n"
-         "             store: crash-safe checkpointing + incremental ECO)\n"
          "            [--library f.ocl [--library-budget F]]\n"
-         "            (cross-run pattern library: exact classes replay,\n"
-         "             budget > 0 warm-starts near matches — fewer\n"
-         "             iterations, same EPE tolerance)\n"
+         "            (cross-run pattern library: crash-safe resume and\n"
+         "             incremental ECO — exact classes replay; budget > 0\n"
+         "             warm-starts near matches — fewer iterations, same\n"
+         "             EPE tolerance. Delete the file to start fresh)\n"
          "            [--stats json] [--stats-out FILE] [--trace FILE]\n"
          "            (--trace writes a chrome://tracing span timeline\n"
          "             of the flow phases and per-tile work)\n"
@@ -873,6 +868,37 @@ void usage(std::ostream& err) {
          "             rejected; --abort cancels at phase boundaries)\n";
 }
 
+/// One subcommand: its handler and every option it reads.
+struct Command {
+  const char* name;
+  int (*run)(const Options&, std::ostream&);
+  std::string options;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"stats", cmd_stats, "in cell"},
+      {"drc", cmd_drc, "in cell layer min-width min-space"},
+      {"mrc", cmd_mrc,
+       "in cell layer deck min-width min-space min-edge min-notch min-jog "
+       "min-corner min-area"},
+      {"lint", cmd_lint,
+       "in deck model codes format grid min-feature na wavelength "
+       "sigma-outer sigma-inner pixel"},
+      {"opc", cmd_opc,
+       "in out cell mode flow deck srafs library stats stats-out trace " +
+           std::string(kFlowSpecOptions)},
+      {"patterns", cmd_patterns, "in cell layer radius top"},
+      {"metrics", cmd_metrics, "format"},
+      {"serve", cmd_serve, "socket tcp jobs max-queue max-inflight library"},
+      {"submit", cmd_submit,
+       "socket tcp in out cell flow priority stats progress " +
+           std::string(kFlowSpecOptions)},
+      {"shutdown", cmd_shutdown, "socket tcp abort"},
+  };
+  return table;
+}
+
 }  // namespace
 
 int run(const std::vector<std::string>& args, std::ostream& out,
@@ -882,21 +908,15 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     return 2;
   }
   try {
-    const Options opts(args, 1);
-    const std::string& cmd = args[0];
-    if (cmd == "stats") return cmd_stats(opts, out);
-    if (cmd == "drc") return cmd_drc(opts, out);
-    if (cmd == "mrc") return cmd_mrc(opts, out);
-    if (cmd == "lint") return cmd_lint(opts, out);
-    if (cmd == "opc") return cmd_opc(opts, out);
-    if (cmd == "patterns") return cmd_patterns(opts, out);
-    if (cmd == "metrics") return cmd_metrics(opts, out);
-    if (cmd == "serve") return cmd_serve(opts, out);
-    if (cmd == "submit") return cmd_submit(opts, out);
-    if (cmd == "shutdown") return cmd_shutdown(opts, out);
-    err << "unknown command: " << cmd << '\n';
-    usage(err);
-    return 2;
+    const auto it =
+        std::find_if(commands().begin(), commands().end(),
+                     [&](const Command& c) { return args[0] == c.name; });
+    if (it == commands().end()) {
+      err << "unknown command: " << args[0] << '\n';
+      usage(err);
+      return 2;
+    }
+    return it->run(Options(args, 1, it->options), out);
   } catch (const util::InputError& e) {
     err << "error: " << e.what() << '\n';
     return 2;

@@ -16,8 +16,10 @@
 ///   patterns  --in a.gds --layer L/D [--radius N] [--top K]
 ///       pattern-catalog summary of one layer
 ///
-/// The entry point takes argv-style tokens and streams, so tests can
-/// drive it end-to-end without spawning processes.
+/// Each subcommand names the options it takes and refuses any other
+/// (exit 2, naming the option). The entry point takes argv-style tokens
+/// and streams, so tests can drive it end-to-end without spawning
+/// processes.
 #pragma once
 
 #include <iosfwd>
