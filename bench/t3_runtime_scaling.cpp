@@ -260,8 +260,8 @@ void BM_FlatFlowImaging(benchmark::State& state) {
       counter(trace::metric::kLithoSocsCacheHits);
   // FFT-engine breakdown: where the solve-phase transforms went.
   // plan_builds counts first-touch table constructions and plan_hits
-  // later PlanCache lookups (both few: the cached kernel and pupil sets
-  // hold their band's plans), fft_batched is the fused sparse
+  // later PlanCache lookups (both few: the cached Abbe and SOCS kernel
+  // sets hold their band's plans), fft_batched is the fused sparse
   // inverse+|.|^2 hot path on the band grid (one per kernel or source
   // point per simulation), fft_r2c the mask-spectrum and band-intensity
   // forwards, fft_c2r the frame inverses, and rows_pruned the zero

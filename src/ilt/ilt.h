@@ -157,7 +157,7 @@ class PixelProblem {
   double diffusion_;   ///< resist diffusion sigma, nm
   double t_bg_;        ///< mask background amplitude
   litho::Fft2d fft2_;
-  std::shared_ptr<const litho::SocsKernelSet> set_;
+  std::shared_ptr<const litho::KernelSet> set_;
   litho::SparseInverseBatch batch_;
   std::vector<double> target_;  ///< rasterized drawn coverage
   std::vector<double> weight_;  ///< per-pixel cost weight (0 = ignored)

@@ -172,7 +172,12 @@ void BandBatch::accumulate_intensity(
   for (std::size_t j = 0; j < support_.size(); ++j) {
     values[j] = spectrum.at(support_[j]);
   }
-  batch_.accumulate_intensity(values, members, acc);
+  constexpr std::size_t kChunk = 16;
+  for (std::size_t base = 0; base < members.size(); base += kChunk) {
+    batch_.accumulate_intensity(
+        values, members.subspan(base, std::min(kChunk, members.size() - base)),
+        acc);
+  }
 }
 
 }  // namespace opckit::litho

@@ -1,9 +1,9 @@
 /// \file band.h
-/// Image formation on the alias-free band-limited grid, shared by the
-/// Abbe and SOCS engines.
+/// Image formation on the alias-free band-limited grid, for every kernel
+/// set (optics.h: Abbe's and SOCS's alike).
 ///
-/// Every coherent field an engine forms is IFFT(spectrum · φ), with φ
-/// nonzero only on a pupil or kernel support. Let K (per axis) be the
+/// Every coherent field an image sums is IFFT(spectrum · φ), with φ
+/// nonzero only on its kernel set's support. Let K (per axis) be the
 /// largest |signed bin| of that support. The field then holds
 /// frequencies |k| <= K, its intensity |field|² holds |k| <= 2K, and any
 /// grid of more than 4K points per axis carries that intensity without
@@ -21,10 +21,10 @@
 ///     r2c whose column pass stops at kx = Kx
 ///     (Fft2d::forward_real_columns), held as (Kx+1) × ny bins. Bins
 ///     with kx < 0 are read through the Hermitian mirror.
-///  2. Coherent sum on the M grid (BandBatch): a support re-indexed
-///     onto the M grid (each signed bin wraps mod M) with its fused
-///     SparseInverseBatch, built once per kernel set (SOCS) or source
-///     point (Abbe) and forming Σ w·|field|² on the M grid.
+///  2. Coherent sum on the M grid (BandBatch): a kernel set's support
+///     re-indexed onto the M grid (each signed bin wraps mod M) with its
+///     fused SparseInverseBatch, built once per kernel set and forming
+///     Σ w·|field|² over the set's members on the M grid.
 ///  3. One back end (BandGrid::frame_image): r2c of the M-grid
 ///     intensity, times the Gaussian transfer at the same physical
 ///     frequencies and r, then one frame c2r whose column pass runs only
@@ -135,7 +135,10 @@ class BandBatch {
 
   /// acc[i] += Σ_k members[k].weight·|IFFT_M(field_k)(i)|² over the M
   /// grid (acc has mx·my entries), field_k = spectrum · factors_k on the
-  /// support, in SparseInverseBatch::accumulate_intensity's order.
+  /// support, in SparseInverseBatch::accumulate_intensity's order. The
+  /// members run in ascending chunks of at most 16, so a dense Abbe set
+  /// never holds row buffers for hundreds of members at once; the
+  /// per-pixel order, and so every bit, is the same as one batch's.
   void accumulate_intensity(
       const BandSpectrum& spectrum,
       std::span<const SparseInverseBatch::Member> members,

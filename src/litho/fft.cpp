@@ -393,51 +393,18 @@ void FftPlan::inverse_real_lanes(double* re, double* im, double* out,
   }
 }
 
-PlanCache& PlanCache::instance() {
-  static PlanCache cache;
-  return cache;
-}
-
 std::shared_ptr<const FftPlan> PlanCache::get(std::size_t n, FftKind kind) {
-  const Key key{n, static_cast<int>(kind)};
-  // Build under the lock — the KernelCache discipline: the first touch
-  // of a key blocks peers for the one-time table build (microseconds)
-  // instead of letting them duplicate it; every later touch is a map
-  // lookup.
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = plans_.find(key);
-  if (it != plans_.end()) {
-    ++stats_.hits;
-    trace::metrics().counter(trace::metric::kLithoFftPlanHits).add();
-    return it->second;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  auto plan = std::make_shared<const FftPlan>(n, kind);
-  const double ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  ++stats_.builds;
-  trace::metrics().counter(trace::metric::kLithoFftPlanBuilds).add();
-  trace::metrics().gauge(trace::metric::kLithoFftPlanBuildMs).add(ms);
-  plans_.emplace(key, plan);
-  return plan;
-}
-
-PlanCache::Stats PlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::size_t PlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return plans_.size();
-}
-
-void PlanCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  plans_.clear();
-  stats_ = Stats{};
+  return get_or_build({n, static_cast<int>(kind)}, [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    FftPlan plan(n, kind);
+    const double ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    trace::metrics().counter(trace::metric::kLithoFftPlanBuilds).add();
+    trace::metrics().gauge(trace::metric::kLithoFftPlanBuildMs).add(ms);
+    return plan;
+  });
 }
 
 Fft2d::Fft2d(std::size_t nx, std::size_t ny)

@@ -6,8 +6,8 @@
 /// precomputes the bit-reversal permutation and per-stage twiddle
 /// tables for one size once, and every subsequent transform of that
 /// size is pure table-driven butterflies. Plans are immutable after
-/// construction and shared process-wide through PlanCache (same
-/// lifecycle discipline as litho::KernelCache): one build per (size,
+/// construction and shared process-wide through PlanCache (the
+/// BuildOnceCache discipline of cache.h): one build per (size,
 /// kind) per process, every later transform — any tile, any OPC
 /// iteration, any flow — reuses it.
 ///
@@ -34,9 +34,10 @@
 ///     bounded r2c computes exactly forward_real's bins there and fills
 ///     no mirror, and the bounded c2r is inverse_real of a spectrum
 ///     that is zero past the bound, both bit for bit.
-///  3. Batched sparse inverse (`SparseInverseBatch`) — the SOCS/Abbe
-///     hot loop Σ w·|IFFT(spectrum·filter)|² transforms fields that
-///     are nonzero only on the pupil support, a small disk of
+///  3. Batched sparse inverse (`SparseInverseBatch`) — the imaging
+///     hot loop Σ w·|IFFT(spectrum·φ)|² over a kernel set (SOCS
+///     eigen-kernels or Abbe shifted pupils) transforms fields that
+///     are nonzero only on the set's support, a small disk of
 ///     frequency bins. All batch members share one plan and one
 ///     support, so the row/column pruning structure is computed once:
 ///     rows with no support bins are skipped outright (their transform
@@ -47,8 +48,8 @@
 ///     The fused result is bit-identical to
 ///     transform-then-normalize-then-|·|² of the pre-plan engine
 ///     followed by an ascending weighted sum (same operations, same
-///     order, zero rows dropped exactly). The imaging engines run it on
-///     their band's M grid, with the spectrum given at the support.
+///     order, zero rows dropped exactly). Every image runs it on its
+///     kernel set's band M grid, with the spectrum given at the support.
 ///
 /// Every 2-D pass above runs on the lane kernel
 /// (`FftPlan::transform_lanes`): kLanes = 8 vectors transformed in
@@ -72,12 +73,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
+
+#include "litho/cache.h"
 
 namespace opckit::litho {
 
@@ -203,39 +204,20 @@ class FftPlan {
   std::vector<Complex> split_;
 };
 
-/// Process-wide plan cache keyed on (size, kind) — the KernelCache
-/// discipline applied to transform schedules: the first request for a
-/// key builds (and records `litho.fft_plan_*` metrics), every later
-/// request is a map lookup returning the same immutable plan.
-/// Thread-safe; never evicts (a process sees a handful of distinct
-/// frame sizes at most, and a plan is a few KB).
-class PlanCache {
+/// Process-wide plan cache keyed on (size, kind), on the BuildOnceCache
+/// discipline (cache.h): the first request for a key builds (and
+/// records `litho.fft_plan_*` metrics), every later request returns the
+/// same immutable plan. A plan is a few KB.
+class PlanCache
+    : public BuildOnceCache<PlanCache, std::pair<std::size_t, int>, FftPlan> {
  public:
-  struct Stats {
-    std::uint64_t builds = 0;
-    std::uint64_t hits = 0;
-  };
-
-  /// The process-wide instance.
-  static PlanCache& instance();
+  PlanCache() : BuildOnceCache(trace::metric::kLithoFftPlanHits) {}
 
   /// Return the plan for (n, kind), building on first touch. A kReal
   /// plan also serves complex transforms of the same size, but the two
   /// kinds are distinct cache keys: callers that never touch the real
   /// path don't pay for its tables.
   std::shared_ptr<const FftPlan> get(std::size_t n, FftKind kind);
-
-  Stats stats() const;
-  std::size_t size() const;
-  /// Drop all entries and reset stats (test hook).
-  void clear();
-
- private:
-  using Key = std::pair<std::size_t, int>;
-
-  mutable std::mutex mutex_;
-  std::map<Key, std::shared_ptr<const FftPlan>> plans_;
-  Stats stats_;
 };
 
 /// Planned 2-D transform engine bound to one (nx, ny) shape: holds the
@@ -350,10 +332,9 @@ class Fft2d {
 };
 
 /// A batch of same-size inverse transforms sharing one plan and one
-/// sparse frequency support — the per-kernel IFFTs of the SOCS image
-/// sum Σ λ_k·|IFFT(spectrum·φ_k)|² (and the per-source-point loop of
-/// the Abbe engine). Binding the support once lets every member reuse
-/// the pruning structure:
+/// sparse frequency support — the per-member IFFTs of the image sum
+/// Σ w_k·|IFFT(spectrum·φ_k)|² over a kernel set (optics.h). Binding
+/// the support once lets every member reuse the pruning structure:
 ///
 ///  - rows with no support bins are never transformed (their row FFT
 ///    is identically zero — exact, not approximate); the touched rows
@@ -396,9 +377,9 @@ class SparseInverseBatch {
   /// frame, where field_k[support[j]] = spectrum[support[j]] *
   /// members[k].factors[j] and zero elsewhere; the inverse carries the
   /// 1/(nx*ny) normalization. Per pixel the members are added in
-  /// ascending k, one `acc += w·|v|²` each — the order of
-  /// detail::weighted_intensity_sum over inverse_mag2 frames, so the
-  /// result is bit-identical to it at any thread count. The member row
+  /// ascending k, one `acc += w·|v|²` each — the order of an ascending
+  /// weighted sum of inverse_mag2 frames, so the result is
+  /// bit-identical to it at any thread count. The member row
   /// passes run in parallel over members, the column epilogue in
   /// parallel over column blocks (disjoint pixels); no per-member frame
   /// is stored. \p spectrum points at a full nx*ny layout; every

@@ -6,7 +6,6 @@
 
 #include "litho/fft.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace opckit::litho {
 
@@ -158,120 +157,61 @@ SourcePupils source_pupils(const OpticalSystem& sys, const Frame& frame,
   return p;
 }
 
-AbbePupils::AbbePupils(const OpticalSystem& sys, const Frame& frame,
-                       double defocus_nm)
-    : pupils(source_pupils(sys, frame, defocus_nm)),
-      band(BandGrid::of_supports(frame.nx, frame.ny, pupils.support)) {
-  batches.reserve(pupils.support.size());
+std::vector<SparseInverseBatch::Member> intensity_terms(const KernelSet& set) {
+  std::vector<SparseInverseBatch::Member> terms;
+  terms.reserve(set.kernels.size());
+  for (const Kernel& k : set.kernels) terms.push_back({k.value, k.weight});
+  return terms;
+}
+
+KernelSet build_abbe_kernels(const OpticalSystem& sys, const Frame& frame,
+                             double defocus_nm) {
+  const SourcePupils pupils = source_pupils(sys, frame, defocus_nm);
+  KernelSet set;
   for (const std::vector<std::uint32_t>& support : pupils.support) {
-    batches.emplace_back(band, support);
+    set.support.insert(set.support.end(), support.begin(), support.end());
   }
-}
-
-PupilCache& PupilCache::instance() {
-  static PupilCache cache;
-  return cache;
-}
-
-std::shared_ptr<const AbbePupils> PupilCache::get(const OpticalSystem& sys,
-                                                  const Frame& frame,
-                                                  double defocus_nm) {
-  const PupilKey key = pupil_key(sys, frame, defocus_nm);
-  // Build under the lock, as KernelCache does: a first touch blocks
-  // peers for the one-time pupil scan instead of letting them
-  // duplicate it; every later touch is a map lookup.
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = sets_.find(key);
-  if (it != sets_.end()) return it->second;
-  auto set = std::make_shared<const AbbePupils>(sys, frame, defocus_nm);
-  sets_.emplace(key, set);
+  std::sort(set.support.begin(), set.support.end());
+  set.support.erase(std::unique(set.support.begin(), set.support.end()),
+                    set.support.end());
+  set.kernels.reserve(pupils.source.size());
+  for (std::size_t s = 0; s < pupils.source.size(); ++s) {
+    Kernel member{pupils.source[s].weight,
+                  std::vector<Complex>(set.support.size())};
+    // Both supports ascend, so each bin lies past the one before it.
+    auto at = set.support.begin();
+    for (std::size_t j = 0; j < pupils.support[s].size(); ++j) {
+      at = std::lower_bound(at, set.support.end(), pupils.support[s][j]);
+      member.value[static_cast<std::size_t>(at - set.support.begin())] =
+          pupils.value[s][j];
+    }
+    set.kernels.push_back(std::move(member));
+  }
+  set.energy_captured = 1.0;
+  set.source_points = pupils.source.size();
+  set.band.emplace(
+      BandGrid::of_supports(frame.nx, frame.ny, {&set.support, 1}),
+      set.support);
   return set;
 }
 
-std::size_t PupilCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sets_.size();
+std::shared_ptr<const KernelSet> PupilCache::get(const OpticalSystem& sys,
+                                                 const Frame& frame,
+                                                 double defocus_nm) {
+  return get_or_build(pupil_key(sys, frame, defocus_nm), [&] {
+    return build_abbe_kernels(sys, frame, defocus_nm);
+  });
 }
 
-void PupilCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  sets_.clear();
-}
-
-namespace detail {
-
-void weighted_intensity_sum(
-    std::size_t units, std::size_t n,
-    const std::function<void(std::size_t, std::vector<double>&)>& compute,
-    const std::function<double(std::size_t)>& weight,
-    std::vector<double>& acc) {
-  OPCKIT_CHECK(acc.size() == n);
-  // At most kChunk per-unit frames resident at once; accumulation runs
-  // in ascending unit order within and across chunks — the same order
-  // as an all-at-once reduction, so results are bit-identical at any
-  // thread count while peak memory stays O(kChunk·n).
-  constexpr std::size_t kChunk = 16;
-  std::vector<std::vector<double>> scratch(std::min(kChunk, units));
-  for (auto& buf : scratch) buf.resize(n);
-  for (std::size_t base = 0; base < units; base += kChunk) {
-    const std::size_t m = std::min(kChunk, units - base);
-    util::global_pool().parallel_for(
-        m, [&](std::size_t j) { compute(base + j, scratch[j]); });
-    for (std::size_t j = 0; j < m; ++j) {
-      const double w = weight(base + j);
-      const std::vector<double>& img = scratch[j];
-      for (std::size_t i = 0; i < n; ++i) acc[i] += w * img[i];
-    }
-  }
-}
-
-}  // namespace detail
-
-AbbeImager::AbbeImager(const OpticalSystem& sys, const Frame& frame)
-    : sys_(sys), frame_(frame) {
-  OPCKIT_CHECK_MSG(is_pow2(frame.nx) && is_pow2(frame.ny),
-                   "frame dims must be powers of two, got "
-                       << frame.nx << 'x' << frame.ny);
-  (void)sample_source(sys);  // reject a degenerate source up front
-}
-
-Image AbbeImager::aerial_image(const Image& mask, double defocus_nm,
-                               const MaskModel& mask_model) const {
-  return latent_image(mask, 0.0, defocus_nm, mask_model);
-}
-
-Image AbbeImager::latent_image(const Image& mask, double diffusion_nm,
-                               double defocus_nm,
-                               const MaskModel& mask_model) const {
-  OPCKIT_CHECK(mask.frame() == frame_);
-  // Per-source shifted-pupil supports and transmissions depend only on
-  // geometry, not the mask, so they come from the PupilCache with each
-  // support already re-indexed onto the band's M grid.
-  const std::shared_ptr<const AbbePupils> entry =
-      PupilCache::instance().get(sys_, frame_, defocus_nm);
-  const BandGrid& band = entry->band;
+Image form_image(const KernelSet& set, const Image& mask,
+                 const MaskModel& mask_model, double diffusion_nm) {
+  const BandBatch& batch = *set.band;
+  const BandGrid& band = batch.band();
   const BandSpectrum spectrum =
       band.mask_spectrum(mask, mask_model.background_amplitude());
-
-  // One coherent intensity per source point on the M grid, reduced in
-  // fixed order by the chunked helper: deterministic regardless of
-  // thread count, and peak memory bounded by the chunk size instead of
-  // |S|. Rows with no pupil bins are skipped exactly, and |·|² plus the
-  // inverse normalization are fused into the column epilogue.
-  const SourcePupils& pupils = entry->pupils;
-  const std::size_t n = band.mx() * band.my();
-  std::vector<double> intensity(n, 0.0);
-  detail::weighted_intensity_sum(
-      pupils.source.size(), n,
-      [&](std::size_t si, std::vector<double>& out) {
-        std::fill(out.begin(), out.end(), 0.0);
-        const SparseInverseBatch::Member one{pupils.value[si], 1.0};
-        entry->batches[si].accumulate_intensity(
-            spectrum, std::span<const SparseInverseBatch::Member>(&one, 1),
-            out);
-      },
-      [&](std::size_t si) { return pupils.source[si].weight; }, intensity);
-  return band.frame_image(frame_, std::move(intensity), diffusion_nm);
+  std::vector<double> intensity(band.mx() * band.my(), 0.0);
+  batch.accumulate_intensity(spectrum, intensity_terms(set), intensity);
+  return band.frame_image(mask.frame(), std::move(intensity), diffusion_nm);
 }
 
 }  // namespace opckit::litho

@@ -1,14 +1,22 @@
 /// \file optics.h
-/// Partially coherent projection imaging by Abbe source-point integration.
+/// Partially coherent projection imaging: the optical system, its
+/// kernel sets, and the one routine that forms every image.
 ///
 /// Model: scalar, paraxial, aberration-free projection optics with a
 /// binary circular pupil of numerical aperture NA at wavelength λ, and an
 /// extended incoherent source (circular or annular, parameterized by the
-/// partial-coherence factors σ). The aerial image is the source-weighted
-/// average of coherent images, each formed by shifting the pupil by the
-/// source point's spatial frequency (Abbe's method — exact for Koehler
-/// illumination, no TCC truncation error). Defocus enters as the paraxial
-/// pupil phase exp(-iπλz|f|²).
+/// partial-coherence factors σ). Defocus enters as the paraxial pupil
+/// phase exp(-iπλz|f|²). Every image is a weighted sum of coherent
+/// images over a kernel set,
+///
+///     I(x) = Σ_k w_k · |IFFT(spectrum · φ_k)(x)|²,
+///
+/// and the two imaging modes differ only in how the set is built. Abbe's
+/// (build_abbe_kernels, the reference) has one member per source point:
+/// φ_s is the pupil shifted by the source point's spatial frequency and
+/// w_s its weight — exact for Koehler illumination, no TCC truncation
+/// error. SOCS's (socs.h) compresses the same sum into a few
+/// eigen-kernels. form_image runs either set.
 ///
 /// Mask convention: the transmission function is the area coverage of the
 /// drawn/mask polygons (features transmit, background dark), so printed
@@ -17,15 +25,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <tuple>
 #include <vector>
 
 #include "geometry/rect.h"
 #include "litho/band.h"
+#include "litho/cache.h"
 #include "litho/fft.h"
 #include "litho/image.h"
 
@@ -116,14 +123,14 @@ std::vector<SourcePoint> sample_source(const OpticalSystem& sys);
 /// Zero outside the NA cutoff; inside, a unit-magnitude phase factor
 /// combining the paraxial defocus term exp(-iπλz|f|²) with the Zernike
 /// aberration phases of sys.aberrations. This is the single pupil model
-/// shared by the Abbe and SOCS imaging engines; keeping one definition
-/// guarantees the engines agree on the physics bit-for-bit.
+/// the Abbe and SOCS kernel sets are built from; keeping one definition
+/// guarantees the two agree on the physics bit-for-bit.
 Complex pupil_transmission(const OpticalSystem& sys, double fx, double fy,
                            double defocus_nm);
 
-/// What the frequency-domain tables of an imaging engine depend on: the
-/// optical system, the frame's shape and pixel (not its origin — the
-/// tables live in frequency space and are translation-invariant) and
+/// What a kernel set depends on besides the mask model and the SOCS ε:
+/// the optical system, the frame's shape and pixel (not its origin —
+/// the set lives in frequency space and is translation-invariant) and
 /// the defocus. A tuple, so it orders lexicographically (a defaulted
 /// <=> over double members would yield std::partial_ordering).
 using PupilKey = std::tuple<double, double,                      // λ, NA
@@ -138,7 +145,7 @@ PupilKey pupil_key(const OpticalSystem& sys, const Frame& frame,
 /// The sampled source of an optical system and, per source point s, its
 /// shifted pupil P(f + f_s) on one frame: the frame bins (ky*nx + kx,
 /// ascending) inside the shifted NA cutoff and the pupil transmission
-/// there: the Abbe engine's per-source factors.
+/// there: the Abbe kernel set's per-source factors.
 struct SourcePupils {
   std::vector<SourcePoint> source;                ///< sample_source(sys)
   std::vector<std::vector<std::uint32_t>> support;  ///< per source point
@@ -150,95 +157,60 @@ struct SourcePupils {
 SourcePupils source_pupils(const OpticalSystem& sys, const Frame& frame,
                            double defocus_nm);
 
-/// What AbbeImager needs per PupilKey: the source pupils, the band of
-/// all their supports (band.h), and each support re-indexed onto it.
-struct AbbePupils {
-  AbbePupils(const OpticalSystem& sys, const Frame& frame,
-             double defocus_nm);
-
-  SourcePupils pupils;
-  BandGrid band;
-  std::vector<BandBatch> batches;  ///< per source point
+/// One member of a kernel set: its weight w_k and its factors φ_k over
+/// the set's support.
+struct Kernel {
+  double weight = 0.0;
+  std::vector<Complex> value;  ///< aligned with KernelSet::support
 };
 
-/// Process-wide cache of AbbePupils per PupilKey, shared across images,
-/// tiles and flows — the KernelCache discipline: the first request for
-/// a key builds it under the lock, every later request returns the same
-/// immutable entry. Never evicts (a process sees a handful of distinct
-/// keys at most).
-class PupilCache {
+/// The members of one image sum Σ_k w_k·|IFFT(spectrum·φ_k)|². All
+/// members share one support, so the whole sum runs as one BandBatch:
+/// one plan, one pruning structure, |kernels| same-size transforms.
+struct KernelSet {
+  std::vector<Kernel> kernels;
+  std::vector<std::uint32_t> support;  ///< flat frame indices (ky*nx+kx)
+  double energy_captured = 0.0;   ///< Σ kept w / Σ w before truncation
+  std::size_t source_points = 0;  ///< |S| the set was built from
+  /// The support re-indexed onto its band grid (band.h), built with the
+  /// set: the batch every image through the set runs.
+  std::optional<BandBatch> band;
+};
+
+/// The set's members as the terms of
+/// SparseInverseBatch::accumulate_intensity over set.support: factors
+/// φ_k, weight w_k, in member order. The spans view \p set.
+std::vector<SparseInverseBatch::Member> intensity_terms(const KernelSet& set);
+
+/// The Abbe kernel set, from the source_pupils scan: the support is the
+/// union of the per-source supports, and member s is source point s —
+/// its pupil transmission on that support (zero off its own) with the
+/// source weight. Frame dims must be powers of two. Deterministic.
+KernelSet build_abbe_kernels(const OpticalSystem& sys, const Frame& frame,
+                             double defocus_nm);
+
+/// Process-wide cache of Abbe kernel sets per PupilKey, on the
+/// BuildOnceCache discipline (cache.h), shared across images, tiles and
+/// flows. The frame origin and the mask model are not part of the key.
+class PupilCache
+    : public BuildOnceCache<PupilCache, PupilKey, KernelSet> {
  public:
-  /// The process-wide instance.
-  static PupilCache& instance();
-
-  std::shared_ptr<const AbbePupils> get(const OpticalSystem& sys,
-                                        const Frame& frame,
-                                        double defocus_nm);
-
-  std::size_t size() const;
-  /// Drop all entries (test hook).
-  void clear();
-
- private:
-  mutable std::mutex mutex_;
-  std::map<PupilKey, std::shared_ptr<const AbbePupils>> sets_;
+  std::shared_ptr<const KernelSet> get(const OpticalSystem& sys,
+                                       const Frame& frame,
+                                       double defocus_nm);
 };
 
-namespace detail {
-
-/// Deterministic chunked reduction: acc[i] += Σ_u weight(u)·frame_u[i],
-/// where frame_u is produced by compute(u, out) into a caller-invisible
-/// scratch buffer of size \p n (compute must overwrite every element).
-/// Units are computed in parallel (util::global_pool) but accumulated
-/// serially in ascending unit order, chunked so at most a fixed small
-/// number of frames is resident at once — O(chunk·n) peak instead of
-/// the O(units·n) of materialize-everything, with a summation order
-/// identical to it, so results are bit-identical at any thread count.
-/// The Abbe engine's reduction: its source points have distinct
-/// supports. SOCS kernels share one support, so SocsImager (and the
-/// ILT cost) fuse the sum into SparseInverseBatch::accumulate_intensity
-/// instead, with the same per-pixel order and no per-unit frames.
-void weighted_intensity_sum(
-    std::size_t units, std::size_t n,
-    const std::function<void(std::size_t, std::vector<double>&)>& compute,
-    const std::function<double(std::size_t)>& weight,
-    std::vector<double>& acc);
-
-}  // namespace detail
-
-/// Abbe imaging engine bound to a pixel frame. The frame's dimensions
-/// must be powers of two (the Simulator facade arranges this) and the
-/// physics assumes periodic boundary conditions — callers must pad their
-/// window with a guard band of at least the optical interaction range.
-/// The per-source pupils come from the process-wide PupilCache, and
-/// images are formed on their band grid (band.h).
-class AbbeImager {
- public:
-  AbbeImager(const OpticalSystem& sys, const Frame& frame);
-
-  const OpticalSystem& system() const { return sys_; }
-  const Frame& frame() const { return frame_; }
-
-  /// Compute the aerial image of \p mask (coverage image on the same
-  /// frame: 1 = feature, 0 = background) at \p defocus_nm, for the given
-  /// mask technology. Coverage c maps to the complex transmission
-  /// c + (1-c) * background_amplitude. Multi-threaded over source points;
-  /// bit-deterministic (fixed summation order). The mask spectrum is
-  /// computed on the pupils' band; each source point's coherent image
-  /// runs as a sparse fused inverse over its shifted-pupil support on
-  /// the band's M grid (rows without pupil bins are skipped exactly).
-  Image aerial_image(const Image& mask, double defocus_nm = 0.0,
-                     const MaskModel& mask_model = {}) const;
-
-  /// The aerial image blurred by the resist's Gaussian diffusion of
-  /// \p diffusion_nm (0: the aerial image), formed on the same band.
-  Image latent_image(const Image& mask, double diffusion_nm,
-                     double defocus_nm = 0.0,
-                     const MaskModel& mask_model = {}) const;
-
- private:
-  OpticalSystem sys_;
-  Frame frame_;
-};
+/// The image of \p mask (coverage image on the set's frame shape: 1 =
+/// feature, 0 = background; coverage c maps to the complex transmission
+/// c + (1-c)·background_amplitude) through \p set, blurred by the
+/// resist's Gaussian diffusion of \p diffusion_nm (0: the aerial image).
+/// The three layers of band.h: the mask spectrum on the set's band, the
+/// fused sum over its members on the band's M grid, the frame image.
+/// The frame's dimensions are powers of two and the physics assumes
+/// periodic boundary conditions — callers pad their window with a guard
+/// band of at least the optical interaction range. Bit-deterministic at
+/// any thread count.
+Image form_image(const KernelSet& set, const Image& mask,
+                 const MaskModel& mask_model = {}, double diffusion_nm = 0.0);
 
 }  // namespace opckit::litho

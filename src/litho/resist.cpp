@@ -9,44 +9,23 @@
 
 namespace opckit::litho {
 
-GaussianTransferCache& GaussianTransferCache::instance() {
-  static GaussianTransferCache cache;
-  return cache;
-}
-
 std::shared_ptr<const std::vector<double>> GaussianTransferCache::get(
     std::size_t nx, std::size_t ny, double pixel_nm, double sigma_nm) {
   OPCKIT_CHECK(sigma_nm > 0.0 && pixel_nm > 0.0);
-  const Key key{nx, ny, pixel_nm, sigma_nm};
-  // Build under the lock, as KernelCache does: a first touch blocks
-  // peers for one table build instead of letting them duplicate it.
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = tables_.find(key);
-  if (it != tables_.end()) return it->second;
-  const double c = -2.0 * std::numbers::pi * std::numbers::pi * sigma_nm *
-                   sigma_nm;
-  const std::size_t hx = nx / 2 + 1;
-  std::vector<double> table(hx * ny);
-  for (std::size_t ky = 0; ky < ny; ++ky) {
-    const double fy = fft_freq(ky, ny) / pixel_nm;
-    for (std::size_t kx = 0; kx < hx; ++kx) {
-      const double fx = fft_freq(kx, nx) / pixel_nm;
-      table[ky * hx + kx] = std::exp(c * (fx * fx + fy * fy));
+  return get_or_build({nx, ny, pixel_nm, sigma_nm}, [&] {
+    const double c = -2.0 * std::numbers::pi * std::numbers::pi * sigma_nm *
+                     sigma_nm;
+    const std::size_t hx = nx / 2 + 1;
+    std::vector<double> table(hx * ny);
+    for (std::size_t ky = 0; ky < ny; ++ky) {
+      const double fy = fft_freq(ky, ny) / pixel_nm;
+      for (std::size_t kx = 0; kx < hx; ++kx) {
+        const double fx = fft_freq(kx, nx) / pixel_nm;
+        table[ky * hx + kx] = std::exp(c * (fx * fx + fy * fy));
+      }
     }
-  }
-  auto entry = std::make_shared<const std::vector<double>>(std::move(table));
-  tables_.emplace(key, entry);
-  return entry;
-}
-
-std::size_t GaussianTransferCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return tables_.size();
-}
-
-void GaussianTransferCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  tables_.clear();
+    return table;
+  });
 }
 
 Image gaussian_blur(const Image& img, double sigma_nm) {

@@ -9,12 +9,11 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <tuple>
 #include <vector>
 
+#include "litho/cache.h"
 #include "litho/image.h"
 
 namespace opckit::litho {
@@ -31,15 +30,14 @@ struct ResistModel {
 
 /// Process-wide cache of Gaussian transfer functions
 /// exp(-2π²σ²|f|²) over the independent half-spectrum (kx <= nx/2) of
-/// one frame shape — the KernelCache discipline: the first request for
-/// a key builds the table, every later request returns the same
-/// immutable one. Thread-safe; never evicts (a process sees a handful
-/// of frame shapes and diffusion lengths).
-class GaussianTransferCache {
+/// one frame shape, on the BuildOnceCache discipline (cache.h). A
+/// process sees a handful of frame shapes and diffusion lengths.
+class GaussianTransferCache
+    : public BuildOnceCache<
+          GaussianTransferCache,
+          std::tuple<std::size_t, std::size_t, double, double>,
+          std::vector<double>> {
  public:
-  /// The process-wide instance.
-  static GaussianTransferCache& instance();
-
   /// The transfer at bin (kx, ky), kx <= nx/2, is
   /// (*table)[ky * (nx/2 + 1) + kx], for frequencies
   /// fft_freq(k, n) / pixel_nm. sigma_nm > 0.
@@ -47,16 +45,6 @@ class GaussianTransferCache {
                                                  std::size_t ny,
                                                  double pixel_nm,
                                                  double sigma_nm);
-
-  std::size_t size() const;
-  /// Drop all entries (test hook).
-  void clear();
-
- private:
-  using Key = std::tuple<std::size_t, std::size_t, double, double>;
-
-  mutable std::mutex mutex_;
-  std::map<Key, std::shared_ptr<const std::vector<double>>> tables_;
 };
 
 /// Gaussian blur with standard deviation \p sigma_nm, computed in the

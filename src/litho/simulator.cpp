@@ -42,24 +42,16 @@ Frame make_frame(const SimSpec& spec, const geom::Rect& window) {
 }  // namespace
 
 Simulator::Simulator(const SimSpec& spec, const geom::Rect& window)
-    : spec_(spec),
-      window_(window),
-      frame_(make_frame(spec, window)),
-      imager_(spec.optics, frame_) {
-  if (spec.imaging == ImagingMode::kSocs) {
-    socs_.emplace(spec.optics, frame_, SocsOptions{spec.socs_epsilon});
-  }
-}
+    : spec_(spec), window_(window), frame_(make_frame(spec, window)) {}
 
 Image Simulator::image(const geom::Region& mask, double defocus_nm,
                        double diffusion_nm) const {
   trace::metrics().counter(trace::metric::kLithoAerialImages).add();
   const Image coverage = rasterize(mask, frame_);
-  if (socs_) {
-    return socs_->latent_image(coverage, diffusion_nm, defocus_nm,
-                               spec_.mask);
-  }
-  return imager_.latent_image(coverage, diffusion_nm, defocus_nm, spec_.mask);
+  const std::shared_ptr<const KernelSet> set =
+      kernel_set(spec_.imaging, spec_.optics, frame_, defocus_nm, spec_.mask,
+                 SocsOptions{spec_.socs_epsilon});
+  return form_image(*set, coverage, spec_.mask, diffusion_nm);
 }
 
 Image Simulator::aerial(const geom::Region& mask, double defocus_nm) const {

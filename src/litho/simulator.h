@@ -14,17 +14,16 @@
 /// share one instance or build their own (the tiled flow driver in
 /// core/flow.cpp runs one run_model_opc per worker, each constructing
 /// its own Simulator). set_threshold is the one mutator; calibrate
-/// before sharing. aerial() and latent() form their image on the
-/// engine's band-limited grid (band.h). The per-source (Abbe) and
-/// per-kernel (SOCS) loops inside them use util::global_pool() and run
-/// inline when the caller is itself a pool worker (see thread_pool.h),
-/// with a fixed-order reduction either way — results are bit-identical
-/// at any thread count. SOCS kernel sets (KernelCache), Abbe pupils
-/// (PupilCache) and Gaussian transfers (GaussianTransferCache) are
-/// built once per key and shared.
+/// before sharing. aerial() and latent() ask for the kernel set of
+/// spec.imaging (Abbe's from PupilCache, SOCS's from KernelCache; each
+/// built once per key and shared, as are the Gaussian transfers) and
+/// form every image through form_image on the set's band-limited grid
+/// (band.h). The member loop inside it uses util::global_pool() and
+/// runs inline when the caller is itself a pool worker (see
+/// thread_pool.h), with a fixed-order reduction either way — results
+/// are bit-identical at any thread count.
 #pragma once
 
-#include <optional>
 #include <span>
 
 #include "geometry/geometry.h"
@@ -42,8 +41,8 @@ struct SimSpec {
   ResistModel resist;
   double pixel_nm = 8.0;       ///< raster pixel (integer nm recommended)
   geom::Coord guard_nm = 800;  ///< padding beyond the window of interest
-  /// Imaging engine: kAbbe (reference, one FFT per source point) or
-  /// kSocs (kernel compression, one FFT per kept eigen-kernel — within
+  /// Kernel set: kAbbe (reference, one FFT per source point) or kSocs
+  /// (kernel compression, one FFT per kept eigen-kernel — within
   /// socs_epsilon in intensity, several times faster on dense sources).
   ImagingMode imaging = ImagingMode::kAbbe;
   /// SOCS relative-eigenvalue truncation ε (keep λ_k ≥ ε·λ_max; ≈ the
@@ -81,16 +80,14 @@ class Simulator {
   geom::Region printed(const Image& latent_img, double dose = 1.0) const;
 
  private:
-  /// The engine's image of \p mask blurred by a Gaussian of
-  /// \p diffusion_nm (0: the aerial image).
+  /// The image of \p mask through the kernel set of spec.imaging,
+  /// blurred by a Gaussian of \p diffusion_nm (0: the aerial image).
   Image image(const geom::Region& mask, double defocus_nm,
               double diffusion_nm) const;
 
   SimSpec spec_;
   geom::Rect window_;
   Frame frame_;
-  AbbeImager imager_;
-  std::optional<SocsImager> socs_;  ///< engaged when spec.imaging == kSocs
 };
 
 /// Double-exposure latent image: the resist integrates the dose of two

@@ -132,8 +132,8 @@ void jacobi_hermitian(std::vector<std::vector<Complex>>& a,
 
 }  // namespace
 
-SocsKernelSet build_socs_kernels(const OpticalSystem& sys, const Frame& frame,
-                                 double defocus_nm, const SocsOptions& opts) {
+KernelSet build_socs_kernels(const OpticalSystem& sys, const Frame& frame,
+                             double defocus_nm, const SocsOptions& opts) {
   OPCKIT_CHECK_MSG(is_pow2(frame.nx) && is_pow2(frame.ny),
                    "frame dims must be powers of two, got "
                        << frame.nx << 'x' << frame.ny);
@@ -199,7 +199,7 @@ SocsKernelSet build_socs_kernels(const OpticalSystem& sys, const Frame& frame,
 
   const std::size_t n = frame.nx * frame.ny;
   std::vector<Complex> scratch(n, Complex{0.0, 0.0});
-  SocsKernelSet set;
+  KernelSet set;
   set.source_points = S;
   set.energy_captured = captured / total_energy;
   set.support = std::move(support);
@@ -214,7 +214,7 @@ SocsKernelSet build_socs_kernels(const OpticalSystem& sys, const Frame& frame,
         scratch[p.index[j]] += coef * p.value[j];
       }
     }
-    SocsKernel ker;
+    Kernel ker;
     ker.weight = g[k][k].real();
     const double inv_norm = 1.0 / std::sqrt(ker.weight);
     ker.value.reserve(set.support.size());
@@ -230,96 +230,39 @@ SocsKernelSet build_socs_kernels(const OpticalSystem& sys, const Frame& frame,
   return set;
 }
 
-std::vector<SparseInverseBatch::Member> intensity_terms(
-    const SocsKernelSet& set) {
-  std::vector<SparseInverseBatch::Member> terms;
-  terms.reserve(set.kernels.size());
-  for (const SocsKernel& k : set.kernels) terms.push_back({k.value, k.weight});
-  return terms;
+std::shared_ptr<const KernelSet> KernelCache::get(const OpticalSystem& sys,
+                                                  const Frame& frame,
+                                                  double defocus_nm,
+                                                  const MaskModel& mask,
+                                                  const SocsOptions& opts) {
+  return get_or_build(
+      {pupil_key(sys, frame, defocus_nm), static_cast<int>(mask.type),
+       mask.background_transmission, opts.epsilon},
+      [&] {
+        KernelSet set = build_socs_kernels(sys, frame, defocus_nm, opts);
+        trace::metrics()
+            .counter(trace::metric::kLithoSocsKernelSetsBuilt)
+            .add();
+        trace::metrics()
+            .counter(trace::metric::kLithoSocsKernelsBuilt)
+            .add(set.kernels.size());
+        trace::metrics()
+            .gauge(trace::metric::kLithoSocsEnergyCaptured)
+            .add(set.energy_captured);
+        return set;
+      });
 }
 
-KernelCache& KernelCache::instance() {
-  static KernelCache cache;
-  return cache;
-}
-
-std::shared_ptr<const SocsKernelSet> KernelCache::get(
-    const OpticalSystem& sys, const Frame& frame, double defocus_nm,
-    const MaskModel& mask, const SocsOptions& opts) {
-  const Key key{pupil_key(sys, frame, defocus_nm),
-                static_cast<int>(mask.type), mask.background_transmission,
-                opts.epsilon};
-  // Build under the lock: first touch of a key blocks peers for the
-  // one-time eigensolve (microseconds-to-milliseconds) instead of
-  // letting them duplicate it; every later touch is a map lookup.
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = sets_.find(key);
-  if (it != sets_.end()) {
-    ++stats_.hits;
-    trace::metrics().counter(trace::metric::kLithoSocsCacheHits).add();
-    return it->second;
+std::shared_ptr<const KernelSet> kernel_set(ImagingMode mode,
+                                            const OpticalSystem& sys,
+                                            const Frame& frame,
+                                            double defocus_nm,
+                                            const MaskModel& mask,
+                                            const SocsOptions& opts) {
+  if (mode == ImagingMode::kSocs) {
+    return KernelCache::instance().get(sys, frame, defocus_nm, mask, opts);
   }
-  auto set = std::make_shared<const SocsKernelSet>(
-      build_socs_kernels(sys, frame, defocus_nm, opts));
-  ++stats_.sets_built;
-  trace::metrics().counter(trace::metric::kLithoSocsKernelSetsBuilt).add();
-  trace::metrics()
-      .counter(trace::metric::kLithoSocsKernelsBuilt)
-      .add(set->kernels.size());
-  trace::metrics()
-      .gauge(trace::metric::kLithoSocsEnergyCaptured)
-      .add(set->energy_captured);
-  sets_.emplace(key, set);
-  return set;
-}
-
-KernelCache::Stats KernelCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::size_t KernelCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sets_.size();
-}
-
-void KernelCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  sets_.clear();
-  stats_ = Stats{};
-}
-
-SocsImager::SocsImager(const OpticalSystem& sys, const Frame& frame,
-                       const SocsOptions& opts)
-    : sys_(sys), frame_(frame), opts_(opts) {
-  OPCKIT_CHECK_MSG(is_pow2(frame.nx) && is_pow2(frame.ny),
-                   "frame dims must be powers of two, got "
-                       << frame.nx << 'x' << frame.ny);
-  OPCKIT_CHECK(opts.epsilon > 0.0 && opts.epsilon < 1.0);
-}
-
-Image SocsImager::aerial_image(const Image& mask, double defocus_nm,
-                               const MaskModel& mask_model) const {
-  return latent_image(mask, 0.0, defocus_nm, mask_model);
-}
-
-Image SocsImager::latent_image(const Image& mask, double diffusion_nm,
-                               double defocus_nm,
-                               const MaskModel& mask_model) const {
-  OPCKIT_CHECK(mask.frame() == frame_);
-  const std::shared_ptr<const SocsKernelSet> set =
-      KernelCache::instance().get(sys_, frame_, defocus_nm, mask_model, opts_);
-  const BandBatch& batch = *set->band;
-  const BandGrid& band = batch.band();
-
-  // All kernels share the set's support, so the whole Σ λ_k·|IFFT|² is
-  // one batch on the band's M grid: one plan, one pruning structure,
-  // and the weighted sum fused into the column epilogue.
-  const BandSpectrum spectrum =
-      band.mask_spectrum(mask, mask_model.background_amplitude());
-  std::vector<double> intensity(band.mx() * band.my(), 0.0);
-  batch.accumulate_intensity(spectrum, intensity_terms(*set), intensity);
-  return band.frame_image(frame_, std::move(intensity), diffusion_nm);
+  return PupilCache::instance().get(sys, frame, defocus_nm);
 }
 
 }  // namespace opckit::litho

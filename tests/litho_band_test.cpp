@@ -1,10 +1,12 @@
 /// Parity suite for image formation on the band-limited grid
-/// (litho/band.h): both engines' aerial and latent images against a
-/// full-frame reference built from the public primitives — the r2c mask
-/// spectrum, a full-frame SparseInverseBatch sum, then gaussian_blur —
-/// across the SOCS process corners, on a non-square frame whose band
-/// grid differs per axis, and on a coarse-pixel frame whose band fills
-/// the frame, where the two must agree bit for bit.
+/// (litho/band.h): aerial and latent images through both kernel sets
+/// against a full-frame reference built from the public primitives —
+/// the r2c mask spectrum, a full-frame SparseInverseBatch sum, then
+/// gaussian_blur — across the SOCS process corners, on a non-square
+/// frame whose band grid differs per axis, and on a coarse-pixel frame
+/// whose band fills the frame, where the two must agree bit for bit.
+/// The Abbe set's image must also equal, bit for bit, the per-source
+/// band reduction it replaced (one BandBatch per source point).
 ///
 /// Labelled `socs` with the rest of socs_test (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
@@ -13,6 +15,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <span>
 #include <vector>
 
@@ -61,7 +65,7 @@ Image socs_reference(const OpticalSystem& sys, const Image& mask,
                      double defocus_nm, const MaskModel& mm,
                      double diffusion_nm) {
   const Frame& f = mask.frame();
-  const SocsKernelSet set =
+  const KernelSet set =
       build_socs_kernels(sys, f, defocus_nm, SocsOptions{1e-4});
   const Fft2d fft(f.nx, f.ny);
   std::vector<Complex> spectrum;
@@ -94,6 +98,56 @@ Image abbe_reference(const OpticalSystem& sys, const Image& mask,
     }
   }
   return gaussian_blur(intensity, diffusion_nm);
+}
+
+/// The Abbe image as the per-source band reduction formed it: the band
+/// of every source support, one BandBatch per source point, each
+/// coherent intensity added in ascending source order, then the back
+/// end.
+Image abbe_per_source_band(const OpticalSystem& sys, const Image& mask,
+                           double defocus_nm, const MaskModel& mm,
+                           double diffusion_nm) {
+  const Frame& f = mask.frame();
+  const SourcePupils pupils = source_pupils(sys, f, defocus_nm);
+  const BandGrid band = BandGrid::of_supports(f.nx, f.ny, pupils.support);
+  const BandSpectrum spectrum =
+      band.mask_spectrum(mask, mm.background_amplitude());
+  const std::size_t n = band.mx() * band.my();
+  std::vector<double> intensity(n, 0.0), one(n);
+  for (std::size_t s = 0; s < pupils.source.size(); ++s) {
+    const BandBatch batch(band, pupils.support[s]);
+    std::fill(one.begin(), one.end(), 0.0);
+    const SparseInverseBatch::Member member{pupils.value[s], 1.0};
+    batch.accumulate_intensity(spectrum, {&member, 1}, one);
+    const double w = pupils.source[s].weight;
+    for (std::size_t i = 0; i < n; ++i) intensity[i] += w * one[i];
+  }
+  return band.frame_image(f, std::move(intensity), diffusion_nm);
+}
+
+/// The image of \p mask through the \p mode kernel set (SOCS at
+/// ε = 1e-4), blurred by \p sigma.
+Image image(ImagingMode mode, const OpticalSystem& sys, const Image& mask,
+            double sigma, double defocus_nm = 0.0,
+            const MaskModel& mm = {}) {
+  return form_image(*kernel_set(mode, sys, mask.frame(), defocus_nm, mm),
+                    mask, mm, sigma);
+}
+
+/// \p fn's image, computed on a worker of a \p workers-thread pool, where
+/// the member loop runs inline. (A parallel_for of one iteration would
+/// run it on the calling thread instead.)
+Image on_pool_worker(std::size_t workers, const std::function<Image()>& fn) {
+  std::promise<Image> result;  // outlives the pool, which joins the job
+  util::ThreadPool pool(workers);
+  pool.submit([&] {
+    try {
+      result.set_value(fn());
+    } catch (...) {
+      result.set_exception(std::current_exception());
+    }
+  });
+  return result.get_future().get();
 }
 
 /// max|a − b| over the frame, relative to the reference's peak.
@@ -210,15 +264,14 @@ TEST(BandGrid, SupportBoundUsesSignedBinsAndWrapsModM) {
 }
 
 // Acceptance: within 1e-13 of the full-frame path, relative to the
-// peak, at every corner, for both engines, aerial and latent. The
+// peak, at every corner, for both kernel sets, aerial and latent; and
+// the Abbe set bit-identical to the per-source band reduction. The
 // 128² frame's band grid is 32² here.
 TEST(BandParity, BothEnginesMatchFullFrameAtEveryProcessCorner) {
   const Frame frame = frame_of(128, 128, 8.0);
   const Image mask = test_mask(frame);
   for (const Corner& c : process_corners()) {
     KernelCache::instance().clear();
-    const SocsImager socs(c.sys, frame, SocsOptions{1e-4});
-    const AbbeImager abbe(c.sys, frame);
     const BandBatch& band = *KernelCache::instance()
                                  .get(c.sys, frame, c.defocus_nm, c.mask,
                                       SocsOptions{1e-4})
@@ -229,20 +282,39 @@ TEST(BandParity, BothEnginesMatchFullFrameAtEveryProcessCorner) {
           socs_reference(c.sys, mask, c.defocus_nm, c.mask, sigma);
       const Image abbe_ref =
           abbe_reference(c.sys, mask, c.defocus_nm, c.mask, sigma);
-      EXPECT_LE(relative_error(
-                    socs.latent_image(mask, sigma, c.defocus_nm, c.mask),
-                    socs_ref),
+      const Image abbe =
+          image(ImagingMode::kAbbe, c.sys, mask, sigma, c.defocus_nm, c.mask);
+      EXPECT_LE(relative_error(image(ImagingMode::kSocs, c.sys, mask, sigma,
+                                     c.defocus_nm, c.mask),
+                               socs_ref),
                 1e-13)
           << c.name << " socs sigma=" << sigma;
-      EXPECT_LE(relative_error(
-                    abbe.latent_image(mask, sigma, c.defocus_nm, c.mask),
-                    abbe_ref),
-                1e-13)
+      EXPECT_LE(relative_error(abbe, abbe_ref), 1e-13)
           << c.name << " abbe sigma=" << sigma;
+      expect_same_bits(abbe,
+                       abbe_per_source_band(c.sys, mask, c.defocus_nm, c.mask,
+                                            sigma),
+                       c.name);
     }
-    EXPECT_EQ(socs.aerial_image(mask, c.defocus_nm, c.mask).values(),
-              socs.latent_image(mask, 0.0, c.defocus_nm, c.mask).values())
-        << c.name;
+  }
+}
+
+// A production-dense source (grid 21, 212 points: fourteen 16-member
+// chunks) on flat_cold's frame (256² at 12 nm, a 64² band): the Abbe
+// set is still the per-source band reduction bit for bit, aerial and
+// latent. Not one more input of the corner loop above, which also
+// builds a SOCS set and two full-frame references per input: at 212
+// points that would add a 212 × 212 eigensolve to every run.
+TEST(BandParity, DenseAbbeSetIsThePerSourceReductionBitForBit) {
+  const Frame frame = frame_of(256, 256, 12.0);
+  const Image mask = test_mask(frame);
+  OpticalSystem sys = test_optics();
+  sys.source.grid = 21;
+  ASSERT_GT(sample_source(sys).size(), 200u);
+  for (const double sigma : {0.0, kDiffusionNm}) {
+    expect_same_bits(image(ImagingMode::kAbbe, sys, mask, sigma),
+                     abbe_per_source_band(sys, mask, 0.0, {}, sigma),
+                     "grid 21");
   }
 }
 
@@ -253,19 +325,17 @@ TEST(BandParity, NonSquareFrameWithDifferentGridPerAxis) {
   const Image mask = test_mask(frame);
   const OpticalSystem sys = test_optics();
   KernelCache::instance().clear();
-  const SocsImager socs(sys, frame, SocsOptions{1e-4});
   const BandGrid& band =
       KernelCache::instance().get(sys, frame, 0.0, {}, SocsOptions{1e-4})
           ->band->band();
   EXPECT_EQ(band.mx(), 64u);
   EXPECT_EQ(band.my(), 16u);
-  const AbbeImager abbe(sys, frame);
   for (const double sigma : {0.0, kDiffusionNm}) {
-    EXPECT_LE(relative_error(socs.latent_image(mask, sigma),
+    EXPECT_LE(relative_error(image(ImagingMode::kSocs, sys, mask, sigma),
                              socs_reference(sys, mask, 0.0, {}, sigma)),
               1e-13)
         << "socs sigma=" << sigma;
-    EXPECT_LE(relative_error(abbe.latent_image(mask, sigma),
+    EXPECT_LE(relative_error(image(ImagingMode::kAbbe, sys, mask, sigma),
                              abbe_reference(sys, mask, 0.0, {}, sigma)),
               1e-13)
         << "abbe sigma=" << sigma;
@@ -290,14 +360,14 @@ TEST(BandParity, BandFillingTheFrameIsBitIdentical) {
       continue;
     }
     ++filled;
-    const SocsImager socs(c.sys, frame, SocsOptions{1e-4});
-    const AbbeImager abbe(c.sys, frame);
     for (const double sigma : {0.0, kDiffusionNm}) {
-      expect_same_bits(socs.latent_image(mask, sigma, c.defocus_nm, c.mask),
+      expect_same_bits(image(ImagingMode::kSocs, c.sys, mask, sigma,
+                             c.defocus_nm, c.mask),
                        socs_reference(c.sys, mask, c.defocus_nm, c.mask,
                                       sigma),
                        c.name);
-      expect_same_bits(abbe.latent_image(mask, sigma, c.defocus_nm, c.mask),
+      expect_same_bits(image(ImagingMode::kAbbe, c.sys, mask, sigma,
+                             c.defocus_nm, c.mask),
                        abbe_reference(c.sys, mask, c.defocus_nm, c.mask,
                                       sigma),
                        c.name);
@@ -306,25 +376,23 @@ TEST(BandParity, BandFillingTheFrameIsBitIdentical) {
   EXPECT_EQ(filled, process_corners().size() - 1);
 }
 
-// The latent is bit-identical whether the kernel and source loops run
-// inline on a pool worker (1, 2 or 8 workers) or spread over the global
-// pool from the main thread.
+// The latent is bit-identical whether the member loops of both kernel
+// sets run inline on a pool worker (1, 2 or 8 workers) or spread over
+// the global pool from the main thread.
 TEST(BandParity, LatentIdenticalAcrossWorkerCounts) {
   const Frame frame = frame_of(128, 128, 8.0);
   const Image mask = test_mask(frame);
   OpticalSystem sys = test_optics();
-  sys.source.grid = 7;  // more source points than one reduction chunk
+  sys.source.grid = 7;  // more source points than one 16-member chunk
   KernelCache::instance().clear();
-  const SocsImager socs(sys, frame);
-  const AbbeImager abbe(sys, frame);
-  const Image socs_ref = socs.latent_image(mask, kDiffusionNm);
-  const Image abbe_ref = abbe.latent_image(mask, kDiffusionNm);
+  const Image socs_ref = image(ImagingMode::kSocs, sys, mask, kDiffusionNm);
+  const Image abbe_ref = image(ImagingMode::kAbbe, sys, mask, kDiffusionNm);
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    Image s_img, a_img;
-    util::ThreadPool pool(workers);
-    pool.parallel_for(1, [&](std::size_t) {
-      s_img = socs.latent_image(mask, kDiffusionNm);
-      a_img = abbe.latent_image(mask, kDiffusionNm);
+    const Image s_img = on_pool_worker(workers, [&] {
+      return image(ImagingMode::kSocs, sys, mask, kDiffusionNm);
+    });
+    const Image a_img = on_pool_worker(workers, [&] {
+      return image(ImagingMode::kAbbe, sys, mask, kDiffusionNm);
     });
     EXPECT_EQ(s_img.values(), socs_ref.values()) << "workers=" << workers;
     EXPECT_EQ(a_img.values(), abbe_ref.values()) << "workers=" << workers;

@@ -33,6 +33,13 @@ MaskModel att_psm() {
   return m;
 }
 
+/// The Abbe aerial image of \p mask under \p mask_model.
+Image abbe_aerial(const Image& mask, const MaskModel& mask_model) {
+  return form_image(
+      *PupilCache::instance().get(test_optics(), mask.frame(), 0.0), mask,
+      mask_model);
+}
+
 TEST(MaskModel, BackgroundAmplitude) {
   EXPECT_DOUBLE_EQ(MaskModel{}.background_amplitude(), 0.0);
   EXPECT_NEAR(att_psm().background_amplitude(), -std::sqrt(0.06), 1e-12);
@@ -40,17 +47,15 @@ TEST(MaskModel, BackgroundAmplitude) {
 
 TEST(AttPsm, ClearFieldStillOne) {
   const Frame f = test_frame(64);
-  const AbbeImager imager(test_optics(), f);
   Image mask(f, 1.0);
-  const Image img = imager.aerial_image(mask, 0.0, att_psm());
+  const Image img = abbe_aerial(mask, att_psm());
   for (double v : img.values()) EXPECT_NEAR(v, 1.0, 1e-9);
 }
 
 TEST(AttPsm, DarkFieldLeaksBackgroundTransmission) {
   const Frame f = test_frame(64);
-  const AbbeImager imager(test_optics(), f);
   Image mask(f, 0.0);
-  const Image img = imager.aerial_image(mask, 0.0, att_psm());
+  const Image img = abbe_aerial(mask, att_psm());
   for (double v : img.values()) EXPECT_NEAR(v, 0.06, 1e-9);
 }
 

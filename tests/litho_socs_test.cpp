@@ -1,7 +1,7 @@
-/// SOCS kernel-imaging suite: Abbe-vs-SOCS aerial parity across process
+/// Kernel-set imaging suite: Abbe-vs-SOCS aerial parity across process
 /// corners, relative-eigenvalue truncation and dense-source
-/// compression, KernelCache reuse, and the determinism of both
-/// engines' chunked reductions.
+/// compression, the build-once caches of both sets, and the determinism
+/// of the one image routine over either set.
 ///
 /// Labelled `socs` (tests/CMakeLists.txt) so tools/ci.sh can gate the
 /// ASan and TSan jobs on this suite explicitly.
@@ -9,6 +9,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <future>
+#include <latch>
+#include <thread>
 
 #include "core/flow.h"
 #include "core/model.h"
@@ -41,6 +45,31 @@ Image test_mask(const Frame& frame) {
                                          geom::Rect(270, -400, 430, 400),
                                          geom::Rect(-350, -150, -200, 0)};
   return rasterize(geom::Region::from_rects(rects), frame);
+}
+
+/// The aerial image of \p mask through the \p mode kernel set (SOCS at
+/// ε = 1e-4).
+Image aerial(ImagingMode mode, const OpticalSystem& sys, const Image& mask,
+             double defocus_nm = 0.0, const MaskModel& mask_model = {}) {
+  return form_image(
+      *kernel_set(mode, sys, mask.frame(), defocus_nm, mask_model), mask,
+      mask_model);
+}
+
+/// \p fn's image, computed on a worker of a \p workers-thread pool, where
+/// the member loop runs inline. (A parallel_for of one iteration would
+/// run it on the calling thread instead.)
+Image on_pool_worker(std::size_t workers, const std::function<Image()>& fn) {
+  std::promise<Image> result;  // outlives the pool, which joins the job
+  util::ThreadPool pool(workers);
+  pool.submit([&] {
+    try {
+      result.set_value(fn());
+    } catch (...) {
+      result.set_exception(std::current_exception());
+    }
+  });
+  return result.get_future().get();
 }
 
 double max_abs_diff(const Image& a, const Image& b) {
@@ -118,10 +147,10 @@ TEST(Socs, MatchesAbbeAcrossProcessCorners) {
   const Image mask = test_mask(frame);
   for (const ProcessCorner& c : process_corners()) {
     KernelCache::instance().clear();
-    const AbbeImager abbe(c.sys, frame);
-    const SocsImager socs(c.sys, frame, SocsOptions{1e-4});
-    const Image ref = abbe.aerial_image(mask, c.defocus_nm, c.mask);
-    const Image img = socs.aerial_image(mask, c.defocus_nm, c.mask);
+    const Image ref =
+        aerial(ImagingMode::kAbbe, c.sys, mask, c.defocus_nm, c.mask);
+    const Image img =
+        aerial(ImagingMode::kSocs, c.sys, mask, c.defocus_nm, c.mask);
     EXPECT_LE(max_abs_diff(ref, img), 1e-3) << c.name;
   }
 }
@@ -129,8 +158,8 @@ TEST(Socs, MatchesAbbeAcrossProcessCorners) {
 TEST(Socs, ClearFieldNormalizesToOne) {
   const Frame frame = test_frame(64);
   KernelCache::instance().clear();
-  const SocsImager socs(test_optics(), frame, SocsOptions{1e-4});
-  const Image img = socs.aerial_image(Image(frame, 1.0));
+  const Image img =
+      aerial(ImagingMode::kSocs, test_optics(), Image(frame, 1.0));
   for (double v : img.values()) EXPECT_NEAR(v, 1.0, 1e-3);
 }
 
@@ -144,7 +173,7 @@ TEST(Socs, KernelSetCompressesDenseSource) {
   const Frame frame = test_frame();
   OpticalSystem dense = test_optics();
   dense.source.grid = 21;  // ~212 points — production-dense sampling
-  const SocsKernelSet set =
+  const KernelSet set =
       build_socs_kernels(dense, frame, 0.0, SocsOptions{1e-3});
   EXPECT_EQ(set.source_points, sample_source(dense).size());
   EXPECT_GT(set.energy_captured, 0.97);
@@ -156,7 +185,7 @@ TEST(Socs, KernelSetCompressesDenseSource) {
   // kernel is unit-normalized (||φ_k||² = 1).
   const double lambda_max = set.kernels.front().weight;
   for (std::size_t k = 0; k < set.kernels.size(); ++k) {
-    const SocsKernel& ker = set.kernels[k];
+    const Kernel& ker = set.kernels[k];
     EXPECT_GE(ker.weight, 1e-3 * lambda_max);
     if (k > 0) {
       EXPECT_LE(ker.weight, set.kernels[k - 1].weight);
@@ -169,7 +198,7 @@ TEST(Socs, KernelSetCompressesDenseSource) {
   // to doubling the kernel count.
   OpticalSystem sparser = test_optics();
   sparser.source.grid = 15;
-  const SocsKernelSet half =
+  const KernelSet half =
       build_socs_kernels(sparser, frame, 0.0, SocsOptions{1e-3});
   ASSERT_GE(set.source_points, half.source_points * 9 / 5);
   EXPECT_LE(set.kernels.size(), half.kernels.size() + 8);
@@ -179,9 +208,9 @@ TEST(Socs, TighterEpsilonKeepsMoreKernels) {
   const Frame frame = test_frame();
   OpticalSystem sys = test_optics();
   sys.source.grid = 9;
-  const SocsKernelSet coarse =
+  const KernelSet coarse =
       build_socs_kernels(sys, frame, 0.0, SocsOptions{1e-2});
-  const SocsKernelSet fine =
+  const KernelSet fine =
       build_socs_kernels(sys, frame, 0.0, SocsOptions{1e-6});
   EXPECT_LT(coarse.kernels.size(), fine.kernels.size());
   EXPECT_GE(fine.energy_captured, coarse.energy_captured);
@@ -194,22 +223,19 @@ TEST(Socs, KernelCacheReusesSetsAcrossImagersAndDefocus) {
   KernelCache::instance().clear();
   const auto before = trace::metrics().snapshot();
 
-  const SocsImager a(sys, frame);
-  const SocsImager b(sys, frame);  // same process key, distinct instance
-  a.aerial_image(mask);
-  a.aerial_image(mask);            // hit
-  b.aerial_image(mask);            // hit (cache is process-wide)
-  a.aerial_image(mask, 150.0);     // new defocus -> new set
+  aerial(ImagingMode::kSocs, sys, mask);
+  aerial(ImagingMode::kSocs, sys, mask);         // hit
+  aerial(ImagingMode::kSocs, sys, mask);         // hit (process-wide)
+  aerial(ImagingMode::kSocs, sys, mask, 150.0);  // new defocus -> new set
   Frame shifted = frame;
   shifted.origin = {1000, -3000};  // origin is NOT part of the key
-  const SocsImager c(sys, shifted);
   const std::vector<geom::Rect> far_rects = {
       geom::Rect(1100, -2900, 1300, -2500)};
-  c.aerial_image(
-      rasterize(geom::Region::from_rects(far_rects), shifted));  // hit
+  aerial(ImagingMode::kSocs, sys,
+         rasterize(geom::Region::from_rects(far_rects), shifted));  // hit
 
   const KernelCache::Stats stats = KernelCache::instance().stats();
-  EXPECT_EQ(stats.sets_built, 2u);
+  EXPECT_EQ(stats.builds, 2u);
   EXPECT_EQ(stats.hits, 3u);
   EXPECT_EQ(KernelCache::instance().size(), 2u);
 
@@ -222,45 +248,89 @@ TEST(Socs, KernelCacheReusesSetsAcrossImagersAndDefocus) {
             2.0 * 0.99);
 }
 
-// Abbe's per-source pupils are scanned once per (optics, frame shape,
-// defocus) and shared by every imager; the frame origin is not part of
-// the key.
+// The Abbe sets are built once per (optics, frame shape, defocus) and
+// shared by every image and every Simulator; neither the frame origin
+// nor the mask model is part of the key.
 TEST(Socs, PupilCacheSharesEntriesAcrossImagers) {
   const Frame frame = test_frame(64);
   const OpticalSystem sys = test_optics();
   const Image mask = test_mask(frame);
-  PupilCache::instance().clear();
-  const AbbeImager a(sys, frame);
-  const Image ref = a.aerial_image(mask);
-  const auto entry = PupilCache::instance().get(sys, frame, 0.0);
-  EXPECT_EQ(entry->pupils.source.size(), sample_source(sys).size());
-  const AbbeImager b(sys, frame);
-  EXPECT_EQ(b.aerial_image(mask).values(), ref.values());
+  PupilCache& cache = PupilCache::instance();
+  cache.clear();
+  const auto entry = cache.get(sys, frame, 0.0);
+  EXPECT_EQ(entry->kernels.size(), sample_source(sys).size());
+  const Image ref = form_image(*entry, mask);
+  MaskModel psm;
+  psm.type = MaskType::kAttenuatedPsm;
+  EXPECT_EQ(kernel_set(ImagingMode::kAbbe, sys, frame, 0.0, psm), entry);
+  EXPECT_EQ(aerial(ImagingMode::kAbbe, sys, mask).values(), ref.values());
   Frame shifted = frame;
   shifted.origin = {1000, -3000};
-  EXPECT_EQ(PupilCache::instance().get(sys, shifted, 0.0), entry);
-  EXPECT_EQ(PupilCache::instance().size(), 1u);
-  (void)a.aerial_image(mask, 150.0);
-  EXPECT_EQ(PupilCache::instance().size(), 2u);
+  EXPECT_EQ(cache.get(sys, shifted, 0.0), entry);
+  EXPECT_EQ(cache.size(), 1u);
+  (void)aerial(ImagingMode::kAbbe, sys, mask, 150.0);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().builds, 2u);
+  EXPECT_EQ(cache.stats().hits, 3u);
+
+  // Two Simulators over same-size windows share one set.
+  cache.clear();
+  SimSpec spec;
+  spec.optics = sys;
+  const geom::Rect window(0, 0, 400, 400);
+  const geom::Region line{geom::Rect(100, 0, 280, 400)};
+  (void)Simulator(spec, window).aerial(line);
+  (void)Simulator(spec, window.translated({5000, 0}))
+      .aerial(line.translated({5000, 0}));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().builds, 1u);
 }
 
-// The chunked Abbe reduction replaced a materialize-everything buffer;
-// its contract is bit-identical output whether the per-source loop runs
-// on the global pool (caller on the main thread) or inline (caller is
-// already a pool worker — nested parallel_for degenerates to serial).
+// The shared BuildOnceCache discipline (cache.h): first touches of one
+// key racing from several threads build it once and all get the same
+// entry, and clear() drops the entries and resets the stats.
+TEST(Socs, BuildOnceCacheBuildsAConcurrentFirstTouchOnce) {
+  const Frame frame = test_frame(64);
+  const OpticalSystem sys = test_optics();
+  PupilCache& cache = PupilCache::instance();
+  cache.clear();
+  constexpr std::size_t kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<std::shared_ptr<const KernelSet>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[t] = cache.get(sys, frame, 0.0);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().builds, 1u);
+  EXPECT_EQ(cache.stats().hits, kThreads - 1);
+
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().builds, 0u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_NE(cache.get(sys, frame, 0.0), seen[0]);  // rebuilt
+  EXPECT_EQ(cache.stats().builds, 1u);
+}
+
+// The Abbe set runs in chunks of 16 members; its contract is
+// bit-identical output whether the member loop runs on the global pool
+// (caller on the main thread) or inline (caller is already a pool
+// worker — nested parallel_for degenerates to serial).
 TEST(Socs, AbbeChunkedReductionDeterministicAcrossThreadCounts) {
   const Frame frame = test_frame();
   OpticalSystem sys = test_optics();
   sys.source.grid = 7;  // > one chunk worth of source points
   const Image mask = test_mask(frame);
-  const AbbeImager abbe(sys, frame);
-  const Image ref = abbe.aerial_image(mask, 80.0);
+  const Image ref = aerial(ImagingMode::kAbbe, sys, mask, 80.0);
   for (std::size_t workers : {1u, 2u, 8u}) {
-    Image img(frame);
-    util::ThreadPool pool(workers);
-    pool.parallel_for(1, [&](std::size_t) {
-      img = abbe.aerial_image(mask, 80.0);
-    });
+    const Image img = on_pool_worker(
+        workers, [&] { return aerial(ImagingMode::kAbbe, sys, mask, 80.0); });
     EXPECT_EQ(img.values(), ref.values()) << "workers=" << workers;
   }
 }
@@ -270,13 +340,10 @@ TEST(Socs, SocsImageDeterministicAcrossThreadCounts) {
   const OpticalSystem sys = test_optics();
   const Image mask = test_mask(frame);
   KernelCache::instance().clear();
-  const SocsImager socs(sys, frame);
-  const Image ref = socs.aerial_image(mask);
+  const Image ref = aerial(ImagingMode::kSocs, sys, mask);
   for (std::size_t workers : {2u, 8u}) {
-    Image img(frame);
-    util::ThreadPool pool(workers);
-    pool.parallel_for(1,
-                      [&](std::size_t) { img = socs.aerial_image(mask); });
+    const Image img = on_pool_worker(
+        workers, [&] { return aerial(ImagingMode::kSocs, sys, mask); });
     EXPECT_EQ(img.values(), ref.values()) << "workers=" << workers;
   }
 }

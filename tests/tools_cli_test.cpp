@@ -376,6 +376,57 @@ TEST(Cli, EveryCommandRefusesUnknownOptions) {
   EXPECT_EQ(run_cli({"stats", "--in cell", "x.gds"}).code, 2);
 }
 
+/// Run `opc` over a real input with \p extra options; expect exit 2, no
+/// output file, and \p message on stderr.
+void expect_opc_refuses(const std::vector<std::string>& extra,
+                        const std::string& message) {
+  const std::string in = make_test_gds("cli_refuse_in.gds");
+  const std::string out_path = ::testing::TempDir() + "/cli_refuse_out.gds";
+  std::remove(out_path.c_str());
+  std::vector<std::string> args{"opc",      "--in",  in,    "--out",
+                                out_path,   "--layer", "10/0"};
+  args.insert(args.end(), extra.begin(), extra.end());
+  const auto r = run_cli(args);
+  EXPECT_EQ(r.code, 2) << extra[0];
+  EXPECT_NE(r.err.find(message), std::string::npos) << r.err;
+  EXPECT_FALSE(std::filesystem::exists(out_path)) << extra[0];
+  std::remove(in.c_str());
+}
+
+// Each way of running `opc` (direct rule, direct model, the flat/cell
+// flows) refuses the options only another way reads, naming the option
+// and the ways that take it, instead of running without them.
+TEST(Cli, RuleOpcRefusesFlowOptions) {
+  expect_opc_refuses({"--mode", "rule", "--jobs", "8", "--no-cache"},
+                     "--jobs requires --flow flat|cell");
+  expect_opc_refuses({"--mode", "rule", "--no-cache"},
+                     "--no-cache requires --flow flat|cell");
+}
+
+TEST(Cli, RuleOpcRefusesModelOptions) {
+  expect_opc_refuses(
+      {"--mode", "rule", "--anchor-cd", "250", "--anchor-pitch", "900"},
+      "--anchor-cd requires --flow direct --mode model or --flow flat|cell");
+  expect_opc_refuses({"--mode", "rule", "--anchor-pitch", "900"},
+                     "--anchor-pitch requires --flow direct --mode model");
+}
+
+TEST(Cli, FlowRefusesDirectOptions) {
+  expect_opc_refuses(
+      {"--flow", "cell", "--srafs", "--deck", "missing.deck"},
+      "--deck requires --flow direct --mode rule");
+  expect_opc_refuses({"--flow", "cell", "--srafs"},
+                     "--srafs requires --flow direct --mode rule or "
+                     "--flow direct --mode model");
+}
+
+TEST(Cli, ModelOpcRefusesTheRuleDeck) {
+  expect_opc_refuses({"--mode", "model", "--deck", "x"},
+                     "--deck requires --flow direct --mode rule");
+  expect_opc_refuses({"--deck", "x"},
+                     "--deck requires --flow direct --mode rule");
+}
+
 TEST(Cli, UnknownStatsFormatRejected) {
   const auto r = run_cli({"opc", "--in", "x.gds", "--out", "y.gds",
                           "--layer", "10/0", "--flow", "flat", "--stats",

@@ -26,6 +26,12 @@ namespace opckit::cli {
 
 namespace {
 
+/// True if the space-separated option list \p list names \p key.
+bool lists(const std::string& list, const std::string& key) {
+  return key.find(' ') == std::string::npos &&
+         (' ' + list + ' ').find(' ' + key + ' ') != std::string::npos;
+}
+
 /// Minimal option parser: --key value pairs plus boolean --flags. Only
 /// the options named in \p known (space-separated) are accepted, so a
 /// mistyped or retired option is refused by name instead of silently
@@ -40,8 +46,7 @@ class Options {
         throw util::InputError("unexpected argument: " + a);
       }
       const std::string key = a.substr(2);
-      if (key.find(' ') != std::string::npos ||
-          (' ' + known + ' ').find(' ' + key + ' ') == std::string::npos) {
+      if (!lists(known, key)) {
         throw util::InputError("unknown option --" + key + " for opckit " +
                                args[0]);
       }
@@ -54,6 +59,13 @@ class Options {
   }
 
   bool has(const std::string& key) const { return values_.count(key) > 0; }
+
+  /// The options given, in name order.
+  std::vector<std::string> names() const {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : values_) keys.push_back(key);
+    return keys;
+  }
 
   std::string require(const std::string& key) const {
     const auto it = values_.find(key);
@@ -357,6 +369,39 @@ opc::FlowSpec build_flow_spec(const Options& opts) {
   return spec;
 }
 
+/// The options every `opckit opc` run reads.
+constexpr const char* kOpcOptions = "in out cell layer mode flow";
+
+/// The options each way of running `opckit opc` reads beyond
+/// kOpcOptions: the one table its refusals and its accepted options
+/// come from.
+const std::vector<std::pair<std::string, std::string>>& opc_ways() {
+  static const std::vector<std::pair<std::string, std::string>> ways = {
+      {"--flow direct --mode rule", "deck srafs"},
+      {"--flow direct --mode model",
+       "imaging socs-epsilon anchor-cd anchor-pitch srafs"},
+      {"--flow flat|cell",
+       "library stats stats-out trace " + std::string(kFlowSpecOptions)},
+  };
+  return ways;
+}
+
+/// Refuse each option of \p opts that the way \p current of running
+/// `opckit opc` does not read, naming the ways that do.
+void refuse_other_ways(const Options& opts, const std::string& current) {
+  for (const std::string& key : opts.names()) {
+    if (lists(kOpcOptions, key)) continue;
+    std::string takers;
+    bool taken = false;
+    for (const auto& [way, options] : opc_ways()) {
+      if (!lists(options, key)) continue;
+      taken = taken || way == current;
+      takers += (takers.empty() ? "" : " or ") + way;
+    }
+    if (!taken) throw util::InputError("--" + key + " requires " + takers);
+  }
+}
+
 int cmd_opc(const Options& opts, std::ostream& out) {
   const std::string mode = opts.get("mode", "model");
   const std::string flow = opts.get("flow", "direct");
@@ -364,30 +409,20 @@ int cmd_opc(const Options& opts, std::ostream& out) {
     throw util::InputError("unknown --flow (use direct, flat or cell): " +
                            flow);
   }
+  if (mode != "rule" && mode != "model") {
+    throw util::InputError("unknown --mode (use rule or model): " + mode);
+  }
   if (flow != "direct" && mode != "model") {
     throw util::InputError("--flow flat|cell requires --mode model");
   }
-  if (flow == "direct") {
-    for (const char* key :
-         {"stats", "stats-out", "trace", "mrc-deck", "mrc-action", "library",
-          "library-budget", "engine", "ilt-iterations", "ilt-step",
-          "ilt-steepness", "ilt-edge-weight", "ilt-edge-band",
-          "ilt-escalate-epe"}) {
-      if (opts.has(key)) {
-        throw util::InputError(std::string("--") + key +
-                               " requires --flow flat|cell");
-      }
-    }
-  }
+  refuse_other_ways(opts, flow == "direct" ? "--flow direct --mode " + mode
+                                           : "--flow flat|cell");
   if (opts.has("library-budget") && !opts.has("library")) {
     throw util::InputError("--library-budget requires --library FILE");
   }
   if (opts.has("stats") && opts.get("stats", "") != "json") {
     throw util::InputError("unknown --stats format (use json): " +
                            opts.get("stats", ""));
-  }
-  if (mode == "rule" && (opts.has("imaging") || opts.has("socs-epsilon"))) {
-    throw util::InputError("--imaging/--socs-epsilon require --mode model");
   }
 
   // The full-chip flows (--flow flat|cell): placement-aware correction on
@@ -517,7 +552,7 @@ int cmd_opc(const Options& opts, std::ostream& out) {
                          : opc::default_rule_deck_180();
     corrected = opc::apply_rule_opc(polys, deck).corrected;
     out << "rule OPC: " << corrected.size() << " corrected polygons\n";
-  } else if (mode == "model") {
+  } else {
     const litho::SimSpec process = calibrated_process(opts);
     opc::ModelOpcSpec spec;
     const auto r = opc::run_model_opc(polys, process, window, spec);
@@ -525,8 +560,6 @@ int cmd_opc(const Options& opts, std::ostream& out) {
     out << "model OPC: " << r.history.size() << " iterations, final RMS "
         << r.final_iteration().rms_epe_nm << " nm, "
         << (r.converged ? "converged" : "residual error left") << '\n';
-  } else {
-    throw util::InputError("unknown --mode (use rule or model): " + mode);
   }
 
   if (opts.has("srafs")) {
@@ -840,7 +873,11 @@ void usage(std::ostream& err) {
          "            [--deck FILE]\n"
          "            [--srafs] [--anchor-cd N] [--anchor-pitch N]\n"
          "            (inputs are lint pre-flighted; errors abort, see\n"
-         "             `opckit lint --codes`)\n"
+         "             `opckit lint --codes`. --deck is --mode rule's;\n"
+         "             --srafs is direct mode's; --imaging,\n"
+         "             --socs-epsilon and --anchor-* are --mode model's\n"
+         "             and the flows'; the rest are the flows'. An option\n"
+         "             another way reads is refused)\n"
          "  patterns  --in a.gds --layer L/D [--radius N] [--top K]\n"
          "  metrics   [--format text|md] (the compiled metric registry)\n"
          "  serve     --socket PATH | --tcp PORT [--jobs N] [--max-queue N]\n"
@@ -886,8 +923,11 @@ const std::vector<Command>& commands() {
        "in deck model codes format grid min-feature na wavelength "
        "sigma-outer sigma-inner pixel"},
       {"opc", cmd_opc,
-       "in out cell mode flow deck srafs library stats stats-out trace " +
-           std::string(kFlowSpecOptions)},
+       [] {
+         std::string all = kOpcOptions;
+         for (const auto& way : opc_ways()) all += ' ' + way.second;
+         return all;
+       }()},
       {"patterns", cmd_patterns, "in cell layer radius top"},
       {"metrics", cmd_metrics, "format"},
       {"serve", cmd_serve, "socket tcp jobs max-queue max-inflight library"},

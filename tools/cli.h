@@ -11,8 +11,10 @@
 ///       library, rule-deck sanity, model-parameter bands; --codes lists
 ///       every diagnostic. Exit 1 when error-severity findings exist.
 ///   opc       --in a.gds --out b.gds --layer L/D [--cell NAME]
-///             [--mode rule|model] [--srafs] [--anchor CD PITCH]
-///       correct one layer, write corrected shapes to datatype+1
+///             [--mode rule|model] [--flow direct|flat|cell] ...
+///       correct one layer, write corrected shapes to datatype+1. Each
+///       way of running it (direct rule, direct model, the flat/cell
+///       flows) refuses the options only another way reads.
 ///   patterns  --in a.gds --layer L/D [--radius N] [--top K]
 ///       pattern-catalog summary of one layer
 ///
