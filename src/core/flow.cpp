@@ -56,34 +56,29 @@ std::string error_summary(std::string_view gate,
 }
 
 /// Runs the parallel phases under FlowSpec::jobs: 1 = inline in the
-/// calling thread, 0 = the shared global pool, N > 1 = a pool owned by
-/// this flow run. Tile bodies may call parallel_for themselves (the Abbe
-/// source-point loop does); on a pool worker the nested call runs inline
-/// per the ThreadPool protocol, so tiles never deadlock the pool and the
-/// per-chunk accumulation order stays deterministic either way.
+/// calling thread, anything else = a pool owned by this flow run (0: one
+/// worker per hardware thread). A tile runs wholly on its worker, images
+/// included. A flow run from inside another pool's job runs its tiles
+/// inline per the ThreadPool protocol, so it never deadlocks either pool.
 class TileExecutor {
  public:
-  explicit TileExecutor(int jobs) : jobs_(jobs) {
-    if (jobs > 1) {
-      owned_ = std::make_unique<util::ThreadPool>(
+  explicit TileExecutor(int jobs) {
+    if (jobs != 1) {
+      pool_ = std::make_unique<util::ThreadPool>(
           static_cast<std::size_t>(jobs));
     }
   }
 
   void run(std::size_t count, const std::function<void(std::size_t)>& fn) {
-    if (count == 0) return;
-    if (owned_) {
-      owned_->parallel_for(count, fn);
-    } else if (jobs_ == 0) {
-      util::global_pool().parallel_for(count, fn);
+    if (pool_) {
+      pool_->parallel_for(count, fn);
     } else {
       for (std::size_t i = 0; i < count; ++i) fn(i);
     }
   }
 
  private:
-  int jobs_;
-  std::unique_ptr<util::ThreadPool> owned_;
+  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 /// One work unit of the tiled driver, in the frame its mask is written
@@ -502,6 +497,10 @@ struct TiledFlow {
 /// the flow's work units, then the write and the signoff gate.
 FlowStats run_tiled(Library& lib, const FlowSpec& spec,
                     const TiledFlow& flow) {
+  if (spec.jobs < 0 || spec.jobs > kMaxJobs) {  // before any pool exists
+    throw util::InputError("jobs " + std::to_string(spec.jobs) +
+                           " is outside [0, " + std::to_string(kMaxJobs) + "]");
+  }
   const auto t0 = std::chrono::steady_clock::now();
   const trace::MetricsSnapshot before = trace::metrics().snapshot();
   trace::Span flow_span(flow.span);

@@ -98,6 +98,10 @@ struct FlowProgress {
   std::size_t tiles_total = 0;  ///< tiles in this pass
 };
 
+/// The largest FlowSpec::jobs a flow accepts: jobs sizes a thread pool,
+/// and kMaxJobs is far above any host's core count.
+inline constexpr int kMaxJobs = 1024;
+
 /// Flow configuration.
 struct FlowSpec {
   ModelOpcSpec opc;
@@ -117,11 +121,12 @@ struct FlowSpec {
   /// the flow with util::InputError. Sub-wavelength masks built from
   /// invalid inputs fail silently, so flows verify before they correct.
   bool preflight = true;
-  /// Worker threads for the parallel phases: 1 = serial in the calling
-  /// thread (default), N > 1 = a dedicated N-worker pool for this run,
-  /// 0 = util::global_pool() (hardware concurrency, shared with the Abbe
-  /// source-point integration). Output geometry is identical for every
-  /// value — see the execution-model notes above.
+  /// Worker threads for the parallel phases, in [0, kMaxJobs] (others
+  /// throw util::InputError): 1 = serial in the calling thread (default),
+  /// N > 1 = a pool of N workers owned by this run, 0 = one owned worker
+  /// per hardware thread. A tile, images included, runs on one thread.
+  /// Output geometry is identical for every value — see the
+  /// execution-model notes above.
   int jobs = 1;
   /// Reuse fragment-move solutions across geometrically identical tiles
   /// (translation-exact matches only; see CorrectionCache). Replayed

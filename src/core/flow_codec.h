@@ -39,12 +39,9 @@
 namespace opckit::opc {
 
 /// Decode limits: an MRC deck longer than kMaxDeckChecks, or a `jobs`
-/// outside [0, kMaxJobs], is refused. `jobs` sizes a dedicated thread
-/// pool, so an unbounded value off the wire would let one submit start
-/// threads until thread creation fails; kMaxJobs is far above any
-/// host's core count.
+/// outside [0, kMaxJobs] (core/flow.h), is refused, so a bad frame fails
+/// at decode rather than at the flow.
 inline constexpr std::uint32_t kMaxDeckChecks = 100000;
-inline constexpr int kMaxJobs = 1024;
 
 /// How a FlowSpec field takes part in the wire form and the identity.
 enum class FieldRole {

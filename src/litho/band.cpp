@@ -172,12 +172,7 @@ void BandBatch::accumulate_intensity(
   for (std::size_t j = 0; j < support_.size(); ++j) {
     values[j] = spectrum.at(support_[j]);
   }
-  constexpr std::size_t kChunk = 16;
-  for (std::size_t base = 0; base < members.size(); base += kChunk) {
-    batch_.accumulate_intensity(
-        values, members.subspan(base, std::min(kChunk, members.size() - base)),
-        acc);
-  }
+  batch_.accumulate_intensity(values, members, acc);
 }
 
 }  // namespace opckit::litho

@@ -135,10 +135,9 @@ class BandBatch {
 
   /// acc[i] += Σ_k members[k].weight·|IFFT_M(field_k)(i)|² over the M
   /// grid (acc has mx·my entries), field_k = spectrum · factors_k on the
-  /// support, in SparseInverseBatch::accumulate_intensity's order. The
-  /// members run in ascending chunks of at most 16, so a dense Abbe set
-  /// never holds row buffers for hundreds of members at once; the
-  /// per-pixel order, and so every bit, is the same as one batch's.
+  /// support, in SparseInverseBatch::accumulate_intensity's order: one
+  /// member at a time, so a dense Abbe set holds one member's row
+  /// buffers however many members it has.
   void accumulate_intensity(
       const BandSpectrum& spectrum,
       std::span<const SparseInverseBatch::Member> members,

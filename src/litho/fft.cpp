@@ -7,7 +7,6 @@
 
 #include "trace/metrics.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace opckit::litho {
 
@@ -664,44 +663,40 @@ void SparseInverseBatch::run(std::span<const Complex> values,
   const std::size_t nx = plan_.nx();
   const std::size_t ny = plan_.ny();
   const std::size_t nr = rows_.size();
-  const std::size_t member_size = (nr + kLanes - 1) / kLanes * nx * kLanes;
-
-  // Pruned row pass, one task per member: only the touched rows exist,
-  // kLanes per lane group, already bit-reversed. Rows without support
-  // transform to exactly zero, so skipping them is bit-exact.
-  std::vector<double> rows_re(members.size() * member_size, 0.0);
-  std::vector<double> rows_im(members.size() * member_size, 0.0);
+  const std::size_t row_size = (nr + kLanes - 1) / kLanes * nx * kLanes;
   const FftPlan& row_plan = plan_.row_plan();
-  util::global_pool().parallel_for(members.size(), [&](std::size_t m) {
-    double* re = rows_re.data() + m * member_size;
-    double* im = rows_im.data() + m * member_size;
+  const FftPlan& col_plan = plan_.col_plan();
+  const std::size_t blocks = (nx + kLanes - 1) / kLanes;
+  std::vector<double> rows_re, rows_im, re, im;  // reused by every member
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    // Pruned row pass: only the touched rows exist, kLanes per lane
+    // group, already bit-reversed. Rows without support transform to
+    // exactly zero, so skipping them is bit-exact.
+    rows_re.assign(row_size, 0.0);
+    rows_im.assign(row_size, 0.0);
     const std::span<const Complex> factors = members[m].factors;
     for (std::size_t j = 0; j < support_.size(); ++j) {
       const Complex v = values[j] * factors[j];
-      re[row_lane_[j]] = v.real();
-      im[row_lane_[j]] = v.imag();
+      rows_re[row_lane_[j]] = v.real();
+      rows_im[row_lane_[j]] = v.imag();
     }
-    for (std::size_t g = 0; g < member_size; g += nx * kLanes) {
-      row_plan.transform_lanes(re + g, im + g, FftDirection::kInverse,
+    for (std::size_t g = 0; g < row_size; g += nx * kLanes) {
+      row_plan.transform_lanes(rows_re.data() + g, rows_im.data() + g,
+                               FftDirection::kInverse,
                                FftPlan::LaneOrder::kBitReversed);
     }
-  });
 
-  // Column pass, one task per block of kLanes columns: each member's
-  // block is loaded from the touched rows only (into their bit-reversed
-  // slots; every other slot is zero), transformed, and handed to the
-  // epilogue in ascending member order. Blocks own disjoint pixels.
-  const FftPlan& col_plan = plan_.col_plan();
-  const std::size_t blocks = (nx + kLanes - 1) / kLanes;
-  util::global_pool().parallel_for(blocks, [&](std::size_t blk) {
-    const std::size_t x0 = blk * kLanes;
-    const std::size_t b = std::min(kLanes, nx - x0);
-    std::vector<double> re(ny * kLanes), im(ny * kLanes);
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      std::fill(re.begin(), re.end(), 0.0);
-      std::fill(im.begin(), im.end(), 0.0);
-      const double* src_re = rows_re.data() + m * member_size + x0 * kLanes;
-      const double* src_im = rows_im.data() + m * member_size + x0 * kLanes;
+    // Column pass, one block of kLanes columns at a time: the block is
+    // loaded from the touched rows only (into their bit-reversed slots;
+    // every other slot is zero), transformed, and handed to the
+    // epilogue, so each pixel adds the members in ascending order.
+    for (std::size_t blk = 0; blk < blocks; ++blk) {
+      const std::size_t x0 = blk * kLanes;
+      const std::size_t b = std::min(kLanes, nx - x0);
+      re.assign(ny * kLanes, 0.0);
+      im.assign(ny * kLanes, 0.0);
+      const double* src_re = rows_re.data() + x0 * kLanes;
+      const double* src_im = rows_im.data() + x0 * kLanes;
       for (std::size_t s = 0; s < nr; ++s) {
         // Row s, columns x0 + j: lane s % kLanes of its group's
         // elements x0 + j.
@@ -717,7 +712,7 @@ void SparseInverseBatch::run(std::span<const Complex> values,
                                FftPlan::LaneOrder::kBitReversed);
       epilogue(m, x0, b, re.data(), im.data());
     }
-  });
+  }
 }
 
 void SparseInverseBatch::accumulate_intensity(const Complex* spectrum,

@@ -49,7 +49,9 @@
 ///     transform-then-normalize-then-|·|² of the pre-plan engine
 ///     followed by an ascending weighted sum (same operations, same
 ///     order, zero rows dropped exactly). Every image runs it on its
-///     kernel set's band M grid, with the spectrum given at the support.
+///     kernel set's band M grid, with the spectrum given at the support,
+///     on the calling thread, one member at a time through one reused
+///     pair of row buffers.
 ///
 /// Every 2-D pass above runs on the lane kernel
 /// (`FftPlan::transform_lanes`): kLanes = 8 vectors transformed in
@@ -351,8 +353,7 @@ class Fft2d {
 /// The result is bit-identical to the unpruned inverse + normalize +
 /// |·|² sequence of the pre-plan engine (and, for accumulate_intensity,
 /// to summing those images in ascending member order). Thread-safe:
-/// each call uses its own scratch. Calls from a pool worker run inline;
-/// calls from any other thread spread over util::global_pool().
+/// each call uses its own scratch and runs on the calling thread.
 class SparseInverseBatch {
  public:
   /// One term of a weighted intensity sum: the member's per-support-bin
@@ -379,11 +380,9 @@ class SparseInverseBatch {
   /// 1/(nx*ny) normalization. Per pixel the members are added in
   /// ascending k, one `acc += w·|v|²` each — the order of an ascending
   /// weighted sum of inverse_mag2 frames, so the result is
-  /// bit-identical to it at any thread count. The member row
-  /// passes run in parallel over members, the column epilogue in
-  /// parallel over column blocks (disjoint pixels); no per-member frame
-  /// is stored. \p spectrum points at a full nx*ny layout; every
-  /// factors span aligns with the support; \p acc has nx*ny entries.
+  /// bit-identical to it; no per-member frame is stored. \p spectrum
+  /// points at a full nx*ny layout; every factors span aligns with the
+  /// support; \p acc has nx*ny entries.
   void accumulate_intensity(const Complex* spectrum,
                             std::span<const Member> members,
                             std::span<double> acc) const;
@@ -422,10 +421,10 @@ class SparseInverseBatch {
   /// The spectrum at each support bin, in support order.
   std::vector<Complex> gather(const Complex* spectrum) const;
 
-  /// Row pass of every member into lane row buffers, then the column
-  /// pass block by block, handing each member's transformed block to
-  /// \p epilogue in ascending member order. \p values[j] is the
-  /// spectrum at support bin j.
+  /// Per member in ascending order: the row pass into one pair of lane
+  /// row buffers, then the column pass block by block, handing each
+  /// transformed block to \p epilogue. \p values[j] is the spectrum at
+  /// support bin j.
   void run(std::span<const Complex> values, std::span<const Member> members,
            const Epilogue& epilogue) const;
 

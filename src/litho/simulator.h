@@ -18,10 +18,9 @@
 /// spec.imaging (Abbe's from PupilCache, SOCS's from KernelCache; each
 /// built once per key and shared, as are the Gaussian transfers) and
 /// form every image through form_image on the set's band-limited grid
-/// (band.h). The member loop inside it uses util::global_pool() and
-/// runs inline when the caller is itself a pool worker (see
-/// thread_pool.h), with a fixed-order reduction either way — results
-/// are bit-identical at any thread count.
+/// (band.h). Every image forms on the calling thread, members in a
+/// fixed order, so results are bit-identical on any thread; the flow
+/// runs images in parallel only by running tiles in parallel.
 #pragma once
 
 #include <span>

@@ -53,8 +53,6 @@ void Server::start() {
   }
   pool_ = std::make_unique<util::ThreadPool>(
       opts_.workers < 0 ? 1 : static_cast<std::size_t>(opts_.workers));
-  max_inflight_ =
-      opts_.max_inflight == 0 ? pool_->size() : opts_.max_inflight;
   started_ = true;
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
@@ -198,15 +196,14 @@ void Server::admit(const std::shared_ptr<Connection>& conn, SubmitMsg msg) {
 }
 
 void Server::pump_locked() {
-  while (!draining_ && running_.size() < max_inflight_ &&
+  while (!draining_ && running_.size() < pool_->size() &&
          !pending_.empty()) {
     auto it = pending_.begin();
     std::shared_ptr<Job> job = it->second;
-    const int priority = job->msg.priority;
     pending_.erase(it);
     trace::metrics().gauge(trace::metric::kSvcQueueDepth).add(-1.0);
     running_.push_back(job);
-    pool_->submit([this, job] { run_job(job); }, priority);
+    pool_->submit([this, job] { run_job(job); });
   }
 }
 
@@ -232,6 +229,9 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
     }
 
     opc::FlowSpec spec = job->msg.spec;
+    // The job already has this worker to itself; a pool of its own would
+    // only idle, since parallel_for runs inline on a pool worker.
+    spec.jobs = 1;
     const char* kind = job->msg.flow == 1 ? "cell" : "flat";
 
     // The daemon owns durability through the shared library, never

@@ -16,15 +16,12 @@
 ///   **connection thread** per client; each connection thread blocks in
 ///   read_frame and handles Submit/Ping/Shutdown messages.
 /// * Submissions enter a bounded **admission queue** (max_queue), keyed
-///   by (priority, arrival order). At most max_inflight jobs run at once
-///   on the shared util::ThreadPool (submit() with the job's priority,
-///   so the pool agrees with the queue about who goes first). A full
-///   queue rejects with kQueueFull — backpressure is explicit and typed,
-///   never an unbounded buffer.
-/// * Jobs run spec.jobs = 1 style inside a pool worker by default
-///   semantics of the flow (its parallel phases run inline on the pool
-///   worker — see the nested-use rule in util/thread_pool.h), so daemon
-///   concurrency comes from running max_inflight jobs side by side.
+///   by (priority, arrival order); a full queue rejects with kQueueFull —
+///   backpressure is explicit and typed, never an unbounded buffer. The
+///   pump starts the queue's head while a util::ThreadPool worker is
+///   free, so every waiting job stays in the queue, where a drain can
+///   reject it. Each job runs on its worker with spec.jobs = 1: daemon
+///   concurrency is one job per worker, side by side.
 ///
 /// ## Shutdown
 ///
@@ -84,13 +81,11 @@ struct ServerOptions {
   /// Admission queue bound: submissions beyond this many waiting jobs
   /// are rejected with kQueueFull.
   std::size_t max_queue = 64;
-  /// Jobs running concurrently (0 = one per pool worker).
-  std::size_t max_inflight = 0;
   /// Shared correction library config (directory = durable).
   CorrectionLibrary::Options library;
   /// Test instrumentation: called on the pool worker with the job id the
   /// moment a dequeued job starts, before any work. A blocking hook
-  /// holds the job's inflight slot open (admission and queueing continue
+  /// holds the job's worker (admission and queueing continue
   /// normally), which lets tests pin scheduler states that are otherwise
   /// races against job runtime. Never set in production.
   std::function<void(std::uint64_t)> job_start_hook;
@@ -163,8 +158,8 @@ class Server {
   void handle_frame(const std::shared_ptr<Connection>& conn,
                     const Frame& frame);
   void admit(const std::shared_ptr<Connection>& conn, SubmitMsg msg);
-  /// Move queued jobs onto the pool while inflight capacity remains.
-  /// Caller holds mutex_.
+  /// Move queued jobs onto the pool while a worker is free. Caller holds
+  /// mutex_.
   void pump_locked();
   void run_job(const std::shared_ptr<Job>& job);
   void reap_connections_locked();
@@ -172,7 +167,6 @@ class Server {
   ServerOptions opts_;
   CorrectionLibrary library_;
   std::unique_ptr<util::ThreadPool> pool_;
-  std::size_t max_inflight_ = 1;
 
   int listen_fd_ = -1;
   std::uint16_t bound_port_ = 0;

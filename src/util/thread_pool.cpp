@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <limits>
 
 #include "util/check.h"
 
@@ -41,8 +40,8 @@ void ThreadPool::worker_loop() {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
       if (stop_ && jobs_.empty()) return;
-      job = std::move(jobs_.begin()->second);
-      jobs_.erase(jobs_.begin());
+      job = std::move(jobs_.front());
+      jobs_.pop_front();
     }
     job();
   }
@@ -86,12 +85,8 @@ void ThreadPool::parallel_for(std::size_t count,
       if (--remaining == 0) done_cv.notify_all();
     };
     {
-      // Chunks outrank every submit() priority (header contract): the
-      // caller is about to block on them.
       std::lock_guard<std::mutex> lock(mutex_);
-      jobs_.emplace(
-          std::make_pair(std::numeric_limits<long long>::min(), seq_++),
-          std::move(job));
+      jobs_.push_back(std::move(job));
     }
     begin = end;
   }
@@ -103,18 +98,12 @@ void ThreadPool::parallel_for(std::size_t count,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void ThreadPool::submit(std::function<void()> fn, int priority) {
+void ThreadPool::submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    jobs_.emplace(std::make_pair(-static_cast<long long>(priority), seq_++),
-                  std::move(fn));
+    jobs_.push_back(std::move(fn));
   }
   cv_.notify_one();
-}
-
-ThreadPool& global_pool() {
-  static ThreadPool pool;
-  return pool;
 }
 
 }  // namespace opckit::util

@@ -1,15 +1,16 @@
 /// \file thread_pool.h
 /// Fixed-size worker pool with a blocking parallel_for.
 ///
-/// Used by the Abbe imaging engine (per-source-point FFTs) and the
-/// model-based OPC loop (per-fragment intensity probes). The pool is
-/// deliberately simple: deterministic work partitioning (static chunking)
-/// so results are bit-identical regardless of scheduling.
+/// A flow run owns one for its tiles (parallel_for) and the service
+/// daemon one for its jobs (submit); a tile or a job, images included,
+/// runs wholly on its worker. The pool is deliberately simple: one FIFO
+/// queue and deterministic work partitioning (static chunking), so
+/// results are bit-identical regardless of scheduling.
 ///
 /// Locking protocol (kept minimal so TSan can prove it):
-///  * `mutex_` guards `jobs_`, `seq_` and `stop_`; `cv_` is signalled
-///    after a push or stop while workers wait on it. Nothing else is
-///    touched under `mutex_`.
+///  * `mutex_` guards `jobs_` and `stop_`; `cv_` is signalled after a
+///    push or stop while workers wait on it. Nothing else is touched
+///    under `mutex_`.
 ///  * Each parallel_for call owns a stack-local completion record
 ///    (remaining count, first captured exception, mutex + condvar). ALL
 ///    of it — including the counter — is guarded by that record's mutex,
@@ -29,12 +30,10 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace opckit::util {
@@ -59,32 +58,22 @@ class ThreadPool {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
-  /// Enqueue one fire-and-forget job. Higher \p priority dequeues first;
-  /// equal priorities dequeue FIFO (submission order). parallel_for's
-  /// chunks are always queued ABOVE every submit() priority: a caller
-  /// blocked in a parallel section already holds a thread hostage, so
-  /// letting whole queued jobs overtake its chunks could only add
-  /// latency, never throughput. Used by the service daemon's admission
-  /// queue (see src/service/server.h). \p fn must not let exceptions
-  /// escape — there is no completion record to carry them, so an escape
-  /// terminates the process (plain std::thread semantics).
-  void submit(std::function<void()> fn, int priority = 0);
+  /// Enqueue one fire-and-forget job; jobs dequeue in submission order.
+  /// The service daemon runs its jobs this way, after its own admission
+  /// queue has put them in priority order (see src/service/server.h).
+  /// \p fn must not let exceptions escape — there is no completion record
+  /// to carry them, so an escape terminates the process (plain
+  /// std::thread semantics).
+  void submit(std::function<void()> fn);
 
  private:
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  /// Priority queue with deterministic FIFO tie-break: the key orders by
-  /// negated priority first (smaller = runs earlier, so higher submit()
-  /// priority wins), then by a monotone sequence number.
-  std::map<std::pair<long long, std::uint64_t>, std::function<void()>> jobs_;
-  std::uint64_t seq_ = 0;
+  std::deque<std::function<void()>> jobs_;  ///< FIFO
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
 };
-
-/// Process-wide shared pool (lazily constructed, hardware concurrency).
-ThreadPool& global_pool();
 
 }  // namespace opckit::util

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "core/flow.h"
 #include "layout/generators.h"
 #include "trace/metrics.h"
+#include "util/check.h"
 
 namespace opckit::opc {
 namespace {
@@ -153,6 +156,51 @@ TEST(FlowDriver, ChipWithoutInputShapesStillRunsTheWholeFlow) {
     // The flat flow owns the top's output layer: the stale mask is gone.
     EXPECT_TRUE(lib.at("top").shapes(spec.output_layer).empty());
     lib.cell("top").add_rect(spec.output_layer, geom::Rect(0, 0, 100, 100));
+  }
+}
+
+/// The message of the util::InputError \p run throws, or "" if it
+/// throws none.
+template <typename Run>
+std::string input_error(Run run) {
+  try {
+    run();
+  } catch (const util::InputError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FlowDriver, JobsOutsideTheBoundAreRefused) {
+  // jobs sizes a pool owned by the run, so both flows refuse a value
+  // outside [0, kMaxJobs] before anything else.
+  FlowSpec spec = fast_flow();
+  spec.jobs = -1;
+  for (const bool flat : {false, true}) {
+    Library lib = small_chip(1, 1);
+    const std::string what = input_error([&] {
+      flat ? run_flat_opc(lib, "top", spec) : run_cell_opc(lib, "top", spec);
+    });
+    EXPECT_NE(what.find("jobs -1 is outside [0, 1024]"), std::string::npos)
+        << (flat ? "flat: " : "cell: ") << what;
+  }
+  // Values too large to start a pool for are tried on a library without
+  // the named top cell, which the flows refuse as well once past the
+  // bound: the bound must come first, and no pool may ever be built
+  // from such a value.
+  spec.preflight = false;
+  for (const int jobs : {kMaxJobs + 1, std::numeric_limits<int>::max()}) {
+    spec.jobs = jobs;
+    for (const bool flat : {false, true}) {
+      Library lib = small_chip(1, 1);
+      const std::string what = input_error([&] {
+        flat ? run_flat_opc(lib, "no_such_top", spec)
+             : run_cell_opc(lib, "no_such_top", spec);
+      });
+      EXPECT_NE(what.find("jobs " + std::to_string(jobs) + " is outside"),
+                std::string::npos)
+          << (flat ? "flat: " : "cell: ") << what;
+    }
   }
 }
 

@@ -134,9 +134,9 @@ Image image(ImagingMode mode, const OpticalSystem& sys, const Image& mask,
                     mask, mm, sigma);
 }
 
-/// \p fn's image, computed on a worker of a \p workers-thread pool, where
-/// the member loop runs inline. (A parallel_for of one iteration would
-/// run it on the calling thread instead.)
+/// \p fn's image, computed on a worker of a \p workers-thread pool. (A
+/// parallel_for of one iteration would run it on the calling thread
+/// instead.)
 Image on_pool_worker(std::size_t workers, const std::function<Image()>& fn) {
   std::promise<Image> result;  // outlives the pool, which joins the job
   util::ThreadPool pool(workers);
@@ -299,12 +299,12 @@ TEST(BandParity, BothEnginesMatchFullFrameAtEveryProcessCorner) {
   }
 }
 
-// A production-dense source (grid 21, 212 points: fourteen 16-member
-// chunks) on flat_cold's frame (256² at 12 nm, a 64² band): the Abbe
-// set is still the per-source band reduction bit for bit, aerial and
-// latent. Not one more input of the corner loop above, which also
-// builds a SOCS set and two full-frame references per input: at 212
-// points that would add a 212 × 212 eigensolve to every run.
+// A production-dense source (grid 21, 212 points) on flat_cold's frame
+// (256² at 12 nm, a 64² band): the Abbe set is still the per-source band
+// reduction bit for bit, aerial and latent. Not one more input of the
+// corner loop above, which also builds a SOCS set and two full-frame
+// references per input: at 212 points that would add a 212 × 212
+// eigensolve to every run.
 TEST(BandParity, DenseAbbeSetIsThePerSourceReductionBitForBit) {
   const Frame frame = frame_of(256, 256, 12.0);
   const Image mask = test_mask(frame);
@@ -376,14 +376,13 @@ TEST(BandParity, BandFillingTheFrameIsBitIdentical) {
   EXPECT_EQ(filled, process_corners().size() - 1);
 }
 
-// The latent is bit-identical whether the member loops of both kernel
-// sets run inline on a pool worker (1, 2 or 8 workers) or spread over
-// the global pool from the main thread.
+// The latent of both kernel sets is bit-identical whether it forms on
+// a pool worker (1, 2 or 8 workers) or on the main thread.
 TEST(BandParity, LatentIdenticalAcrossWorkerCounts) {
   const Frame frame = frame_of(128, 128, 8.0);
   const Image mask = test_mask(frame);
   OpticalSystem sys = test_optics();
-  sys.source.grid = 7;  // more source points than one 16-member chunk
+  sys.source.grid = 7;  // a denser source than test_optics()'s
   KernelCache::instance().clear();
   const Image socs_ref = image(ImagingMode::kSocs, sys, mask, kDiffusionNm);
   const Image abbe_ref = image(ImagingMode::kAbbe, sys, mask, kDiffusionNm);

@@ -729,8 +729,7 @@ TEST(SparseBatchLanes, FusedSumMatchesAscendingPerMemberSum) {
       trace::metrics().counter(trace::metric::kLithoFftRowsPruned);
   const std::uint64_t batched0 = batched.value(), pruned0 = pruned.value();
 
-  // From the main thread: the row and column passes block on the global
-  // pool.
+  // From the main thread.
   std::vector<double> got = start;
   batch.accumulate_intensity(spectrum.data(), members, got);
   expect_same_bits(got, want, "fused sum (main thread)");
@@ -738,7 +737,7 @@ TEST(SparseBatchLanes, FusedSumMatchesAscendingPerMemberSum) {
   EXPECT_EQ(batched.value() - batched0, kMembers);
   EXPECT_EQ(pruned.value() - pruned0, kMembers * batch.rows_pruned());
 
-  // From inside a pool worker: the nested passes run inline.
+  // From inside a pool worker.
   std::vector<double> nested = start;
   util::ThreadPool pool(2);
   pool.parallel_for(2, [&](std::size_t i) {

@@ -56,9 +56,9 @@ Image aerial(ImagingMode mode, const OpticalSystem& sys, const Image& mask,
       mask_model);
 }
 
-/// \p fn's image, computed on a worker of a \p workers-thread pool, where
-/// the member loop runs inline. (A parallel_for of one iteration would
-/// run it on the calling thread instead.)
+/// \p fn's image, computed on a worker of a \p workers-thread pool. (A
+/// parallel_for of one iteration would run it on the calling thread
+/// instead.)
 Image on_pool_worker(std::size_t workers, const std::function<Image()>& fn) {
   std::promise<Image> result;  // outlives the pool, which joins the job
   util::ThreadPool pool(workers);
@@ -318,14 +318,13 @@ TEST(Socs, BuildOnceCacheBuildsAConcurrentFirstTouchOnce) {
   EXPECT_EQ(cache.stats().builds, 1u);
 }
 
-// The Abbe set runs in chunks of 16 members; its contract is
-// bit-identical output whether the member loop runs on the global pool
-// (caller on the main thread) or inline (caller is already a pool
-// worker — nested parallel_for degenerates to serial).
+// An image forms on its caller's thread; its contract is bit-identical
+// output whether that is the main thread or a worker of a pool of any
+// size.
 TEST(Socs, AbbeChunkedReductionDeterministicAcrossThreadCounts) {
   const Frame frame = test_frame();
   OpticalSystem sys = test_optics();
-  sys.source.grid = 7;  // > one chunk worth of source points
+  sys.source.grid = 7;  // a denser source than test_optics()'s
   const Image mask = test_mask(frame);
   const Image ref = aerial(ImagingMode::kAbbe, sys, mask, 80.0);
   for (std::size_t workers : {1u, 2u, 8u}) {

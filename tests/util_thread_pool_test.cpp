@@ -65,12 +65,6 @@ TEST(ThreadPool, ReusableAfterException) {
   EXPECT_EQ(n.load(), 10);
 }
 
-TEST(ThreadPool, GlobalPoolIsUsable) {
-  std::atomic<int> n{0};
-  global_pool().parallel_for(64, [&](std::size_t) { ++n; });
-  EXPECT_EQ(n.load(), 64);
-}
-
 TEST(ThreadPool, NestedParallelForRunsInline) {
   // A worker issuing its own parallel_for must run it inline instead of
   // queueing (queueing from a worker can deadlock a saturated pool).
@@ -167,10 +161,9 @@ TEST(ThreadPool, SubmitRunsFireAndForgetJobs) {
   EXPECT_EQ(done.load(), 16);
 }
 
-TEST(ThreadPool, SubmitPriorityOrdersQueuedJobs) {
+TEST(ThreadPool, SubmitRunsQueuedJobsInSubmissionOrder) {
   // One worker; a gate job holds it so everything else queues up. Once
-  // released, the queue must drain highest-priority first, FIFO within
-  // a priority level.
+  // released, the queue must drain in submission order.
   ThreadPool pool(1);
   std::mutex mu;
   std::condition_variable cv;
@@ -192,23 +185,17 @@ TEST(ThreadPool, SubmitPriorityOrdersQueuedJobs) {
     cv.wait(lock, [&] { return gate_running; });
   }
 
-  auto tagged = [&](int tag) {
-    return [&, tag] {
+  for (const int tag : {3, 0, 5, 1, 4}) {
+    pool.submit([&, tag] {
       std::lock_guard<std::mutex> lock(mu);
       order.push_back(tag);
-    };
-  };
-  pool.submit(tagged(0), /*priority=*/0);
-  pool.submit(tagged(5), /*priority=*/5);
-  pool.submit(tagged(-3), /*priority=*/-3);
-  pool.submit(tagged(50), /*priority=*/5);  // same level as 5: FIFO after it
-  pool.submit(
-      [&] {
-        std::lock_guard<std::mutex> lock(mu);
-        done = true;
-        cv.notify_all();
-      },
-      /*priority=*/-100);  // lowest: runs last, acts as the drain latch
+    });
+  }
+  pool.submit([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+    cv.notify_all();
+  });  // submitted last: runs last, acts as the drain latch
 
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -217,47 +204,7 @@ TEST(ThreadPool, SubmitPriorityOrdersQueuedJobs) {
   cv.notify_all();
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return done; });
-  EXPECT_EQ(order, (std::vector<int>{5, 50, 0, -3}));
-}
-
-TEST(ThreadPool, ParallelForOutranksQueuedSubmits) {
-  // parallel_for chunks are queued above every submit() priority so a
-  // blocking caller can't be starved by a deep backlog of submitted jobs.
-  ThreadPool pool(1);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  bool gate_running = false;
-  std::atomic<int> submits_done{0};
-
-  pool.submit([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    gate_running = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return release; });
-  });
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return gate_running; });
-  }
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&] { ++submits_done; }, /*priority=*/1000);
-  }
-
-  std::thread releaser([&] {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      release = true;
-    }
-    cv.notify_all();
-  });
-  std::atomic<int> chunks{0};
-  pool.parallel_for(4, [&](std::size_t) { ++chunks; });
-  releaser.join();
-  EXPECT_EQ(chunks.load(), 4);
-  // The parallel_for completed even though high-priority submits were
-  // queued first; drain the rest before the pool goes away.
-  while (submits_done.load() < 8) std::this_thread::yield();
+  EXPECT_EQ(order, (std::vector<int>{3, 0, 5, 1, 4}));
 }
 
 }  // namespace

@@ -117,8 +117,8 @@ job_tsan() {
   (cd build-ci-tsan && \
    ctest "${CTEST_ARGS[@]}" --no-tests=error -L trace)
   # `socs` label: the process-wide KernelCache (mutex under concurrent
-  # flow workers) and both engines' pooled chunked reductions are
-  # concurrency machinery — keep them in the TSan matrix explicitly.
+  # flow workers), shared by images on pool workers and the main thread
+  # alike, is concurrency machinery — keep it in the TSan matrix.
   (cd build-ci-tsan && \
    ctest "${CTEST_ARGS[@]}" --no-tests=error -L socs)
   # `metrology` label: the metrology/optics edge-case regressions, which
