@@ -137,6 +137,11 @@ SourcePupils source_pupils(const OpticalSystem& sys, const Frame& frame,
   for (std::size_t k = 0; k < frame.ny; ++k) {
     freq_y[k] = fft_freq(k, frame.ny) / frame.pixel_nm;
   }
+  // pupil_transmission's cutoff. A bin whose fx² or fy² alone exceeds
+  // it is outside the pupil (fx*fx + fy*fy rounds to at least either
+  // square), so those rows and columns are skipped without a call.
+  const double f_cut = sys.na / sys.wavelength_nm;
+  const double f_cut2 = f_cut * f_cut;
   SourcePupils p;
   p.source = sample_source(sys);
   p.support.resize(p.source.size());
@@ -145,8 +150,10 @@ SourcePupils source_pupils(const OpticalSystem& sys, const Frame& frame,
     const SourcePoint& sp = p.source[s];
     for (std::size_t ky = 0; ky < frame.ny; ++ky) {
       const double fy = freq_y[ky] + sp.fy;
+      if (fy * fy > f_cut2) continue;
       for (std::size_t kx = 0; kx < frame.nx; ++kx) {
         const double fx = freq_x[kx] + sp.fx;
+        if (fx * fx > f_cut2) continue;
         const Complex t = pupil_transmission(sys, fx, fy, defocus_nm);
         if (t == Complex{0.0, 0.0}) continue;  // outside pupil
         p.support[s].push_back(static_cast<std::uint32_t>(ky * frame.nx + kx));

@@ -35,10 +35,14 @@
 /// saturates toward the continuous-TCC spectrum while the Abbe cost
 /// keeps growing with |S| (measured sweeps in docs/EXPERIMENTS.md).
 ///
-/// Kernel sets are expensive to build (Gram + Jacobi eigensolve) and
-/// fully determined by (OpticalSystem, frame dims/pixel, defocus,
-/// MaskModel, ε) — notably NOT by the frame origin — so a process-wide
-/// KernelCache shares them across tiles, OPC iterations, and flow runs.
+/// A build scans the Abbe set's shifted pupils (source_pupils), forms
+/// the Gram matrix and runs an O(|S|³)-per-sweep Jacobi eigensolve of
+/// it, nearly all of the build's time for a dense source (docs/PERF.md,
+/// "SOCS kernel build").
+/// A set is fully determined by (OpticalSystem, frame dims/pixel,
+/// defocus, MaskModel, ε) — notably NOT by the frame origin — so a
+/// process-wide KernelCache shares sets across tiles, OPC iterations,
+/// and flow runs.
 /// Everything here is deterministic: fixed sweep order in the
 /// eigensolver, stable eigenvalue ordering, fixed-order image reduction.
 #pragma once

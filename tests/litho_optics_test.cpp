@@ -1,4 +1,8 @@
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +74,74 @@ TEST(SourceSampling, DegenerateSpecThrows) {
   OpticalSystem sys = test_optics();
   sys.source.grid = 1;  // single center point, excluded by the annulus
   EXPECT_THROW(sample_source(sys), util::CheckError);
+}
+
+// source_pupils skips the rows and columns whose fy² or fx² alone
+// exceeds the pupil cutoff. Its scan must equal pupil_transmission
+// called on every bin, bit for bit: on a non-square frame where the
+// pupil sits far inside the spectrum, and on a coarse one that clips it.
+TEST(SourcePupils, ScanEqualsEveryBinBitForBit) {
+  struct Case {
+    const char* name;
+    OpticalSystem sys;
+    double defocus_nm = 0.0;
+  };
+  std::vector<Case> cases(4, Case{"", test_optics()});
+  cases[0].name = "annular, defocus and coma";
+  cases[0].defocus_nm = 120.0;
+  cases[0].sys.aberrations.coma_x_nm = 15.0;
+  cases[0].sys.aberrations.coma_y_nm = -8.0;
+  cases[1].name = "circular, astigmatism";
+  cases[1].sys.source.shape = SourceShape::kCircular;
+  cases[1].sys.source.sigma_outer = 0.6;
+  cases[1].sys.aberrations.astig_nm = 20.0;
+  cases[2].name = "dipole x, defocus";
+  cases[2].sys.source.shape = SourceShape::kDipoleX;
+  cases[2].defocus_nm = -90.0;
+  cases[3].name = "dipole y";
+  cases[3].sys.source.shape = SourceShape::kDipoleY;
+
+  Frame fine;
+  fine.pixel_nm = 8.0;
+  fine.nx = 128;
+  fine.ny = 256;
+  Frame coarse;  // Nyquist 1/220 nm⁻¹: shifted pupils reach past it
+  coarse.pixel_nm = 110.0;
+  coarse.nx = 32;
+  coarse.ny = 16;
+  for (const Frame& frame : {fine, coarse}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + ", pixel " +
+                   std::to_string(frame.pixel_nm));
+      const SourcePupils got = source_pupils(c.sys, frame, c.defocus_nm);
+      const std::vector<SourcePoint> source = sample_source(c.sys);
+      ASSERT_EQ(got.source.size(), source.size());
+      for (std::size_t s = 0; s < source.size(); ++s) {
+        std::vector<std::uint32_t> support;
+        std::vector<Complex> value;
+        for (std::size_t ky = 0; ky < frame.ny; ++ky) {
+          const double fy = fft_freq(ky, frame.ny) / frame.pixel_nm +
+                            source[s].fy;
+          for (std::size_t kx = 0; kx < frame.nx; ++kx) {
+            const double fx = fft_freq(kx, frame.nx) / frame.pixel_nm +
+                              source[s].fx;
+            const Complex t = pupil_transmission(c.sys, fx, fy, c.defocus_nm);
+            if (t == Complex{0.0, 0.0}) continue;
+            support.push_back(
+                static_cast<std::uint32_t>(ky * frame.nx + kx));
+            value.push_back(t);
+          }
+        }
+        ASSERT_FALSE(support.empty());
+        EXPECT_EQ(got.support[s], support) << "source point " << s;
+        ASSERT_EQ(got.value[s].size(), value.size());
+        EXPECT_EQ(std::memcmp(got.value[s].data(), value.data(),
+                              value.size() * sizeof(Complex)),
+                  0)
+            << "source point " << s;
+      }
+    }
+  }
 }
 
 TEST(OpticalSystem, DerivedQuantities) {

@@ -1,7 +1,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -588,6 +591,54 @@ TEST(Cli, ServeRefusesJobsOutsideTheBound) {
     const auto r = run_cli({"serve", "--jobs", jobs});
     EXPECT_EQ(r.code, 2) << jobs;
     EXPECT_NE(r.err.find("jobs " + jobs + " is outside [0, 1024]"),
+              std::string::npos)
+        << r.err;
+  }
+}
+
+TEST(Cli, ServeRefusesMaxQueueBelowOne) {
+  // -1 would wrap to an unbounded admission queue and 0 would reject
+  // every job. Both are refused before the transport is looked at, so
+  // no daemon starts from these.
+  for (const std::string queue : {"-1", "0"}) {
+    const auto r = run_cli({"serve", "--max-queue", queue});
+    EXPECT_EQ(r.code, 2) << queue;
+    EXPECT_NE(r.err.find("--max-queue " + queue + " is outside [1, " +
+                         std::to_string(std::numeric_limits<long long>::max()) +
+                         "]"),
+              std::string::npos)
+        << r.err;
+  }
+}
+
+TEST(Cli, TcpPortOutsideTheBoundIsRefused) {
+  // 70000 would wrap to port 4464, in serve and in the client commands'
+  // connect alike.
+  for (const std::string port : {"70000", "-1"}) {
+    const std::vector<std::vector<std::string>> commands = {
+        {"serve", "--tcp", port},
+        {"shutdown", "--tcp", port},
+        {"submit", "--tcp", port, "--in", "x.gds", "--out", "y.gds",
+         "--layer", "10/0"}};
+    for (const std::vector<std::string>& args : commands) {
+      const auto r = run_cli(args);
+      EXPECT_EQ(r.code, 2) << args[0] << ' ' << port;
+      EXPECT_NE(r.err.find("--tcp " + port + " is outside [0, 65535]"),
+                std::string::npos)
+          << r.err;
+    }
+  }
+}
+
+TEST(Cli, SubmitRefusesPriorityOutsideInt32) {
+  // 2^32 + 1 would wrap to priority 1. Refused before any connect.
+  for (const std::string priority : {"4294967297", "-2147483649"}) {
+    const auto r = run_cli({"submit", "--socket", "/nonexistent/opcd.sock",
+                            "--in", "x.gds", "--out", "y.gds", "--layer",
+                            "10/0", "--priority", priority});
+    EXPECT_EQ(r.code, 2) << priority;
+    EXPECT_NE(r.err.find("--priority " + priority +
+                         " is outside [-2147483648, 2147483647]"),
               std::string::npos)
         << r.err;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <csignal>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -324,17 +325,32 @@ litho::SimSpec calibrated_process(const Options& opts) {
   return sim;
 }
 
-/// --jobs as a worker count (opc's flows and serve), refused outside
-/// [0, opc::kMaxJobs] before it is narrowed to int, so a value past int
-/// cannot wrap into range and size a pool.
-int jobs_option(const Options& opts, long long fallback) {
-  const long long jobs = opts.get_int("jobs", fallback);
-  if (jobs < 0 || jobs > opc::kMaxJobs) {
-    throw util::InputError("jobs " + std::to_string(jobs) +
-                           " is outside [0, " +
-                           std::to_string(opc::kMaxJobs) + "]");
+/// Integer option \p key (\p fallback when absent), refused outside
+/// [lo, hi] before the caller narrows it, so a value past the narrow
+/// type cannot wrap into range: a --jobs past int sizing a pool, a
+/// --tcp past 65535 naming another port, a --max-queue of -1 becoming
+/// an unbounded queue.
+long long bounded_int(const Options& opts, const std::string& key,
+                      long long fallback, long long lo, long long hi) {
+  const long long v = opts.get_int(key, fallback);
+  if (v < lo || v > hi) {
+    throw util::InputError("--" + key + " " + std::to_string(v) +
+                           " is outside [" + std::to_string(lo) + ", " +
+                           std::to_string(hi) + "]");
   }
-  return static_cast<int>(jobs);
+  return v;
+}
+
+/// --jobs as a worker count (opc's flows and serve).
+int jobs_option(const Options& opts, long long fallback) {
+  return static_cast<int>(
+      bounded_int(opts, "jobs", fallback, 0, opc::kMaxJobs));
+}
+
+/// --tcp as a loopback port (serve and the client commands).
+std::uint16_t tcp_option(const Options& opts) {
+  return static_cast<std::uint16_t>(bounded_int(
+      opts, "tcp", 0, 0, std::numeric_limits<std::uint16_t>::max()));
 }
 
 /// The options build_flow_spec() reads; opc and submit both take them.
@@ -724,26 +740,23 @@ void serve_signal_handler(int) { g_serve_signal = 1; }
 /// (unix-domain) or --tcp PORT (loopback).
 std::unique_ptr<svc::FdStream> connect_endpoint(const Options& opts) {
   if (opts.has("socket")) return svc::connect_unix(opts.require("socket"));
-  if (opts.has("tcp")) {
-    return svc::connect_tcp(
-        static_cast<std::uint16_t>(opts.get_int("tcp", 0)));
-  }
+  if (opts.has("tcp")) return svc::connect_tcp(tcp_option(opts));
   throw util::InputError("give --socket PATH or --tcp PORT");
 }
 
 int cmd_serve(const Options& opts, std::ostream& out) {
   svc::ServerOptions sopts;
   sopts.workers = jobs_option(opts, 0);
+  sopts.max_queue = static_cast<std::size_t>(bounded_int(
+      opts, "max-queue", 64, 1, std::numeric_limits<long long>::max()));
   if (opts.has("socket")) {
     sopts.unix_path = opts.require("socket");
   } else if (opts.has("tcp")) {
     sopts.use_tcp = true;
-    sopts.tcp_port = static_cast<std::uint16_t>(opts.get_int("tcp", 0));
+    sopts.tcp_port = tcp_option(opts);
   } else {
     throw util::InputError("give --socket PATH or --tcp PORT");
   }
-  sopts.max_queue =
-      static_cast<std::size_t>(opts.get_int("max-queue", 64));
   sopts.library.dir = opts.get("library", "");
 
   svc::Server server(std::move(sopts));
@@ -791,7 +804,9 @@ int cmd_submit(const Options& opts, std::ostream& out) {
   }
 
   svc::SubmitMsg msg;
-  msg.priority = static_cast<std::int32_t>(opts.get_int("priority", 0));
+  msg.priority = static_cast<std::int32_t>(bounded_int(
+      opts, "priority", 0, std::numeric_limits<std::int32_t>::min(),
+      std::numeric_limits<std::int32_t>::max()));
   msg.flow = flow == "cell" ? 1 : 0;
   msg.in_path = opts.require("in");
   msg.out_path = opts.require("out");
